@@ -22,35 +22,8 @@ from .fit import em_fit, tail_diagnostics, windowed_fit
 from .simulate import compare as compare_strategies
 from .simulate import run as run_strategy
 from .smmpp import IdleTrace, NonstationarySchedule, SmmppModel, generate, generate_nonstationary
-from .strategies import (
-    CONSTRUCTORS,
-    DEFAULT_EPSILON,
-    Strategy,
-    always_transmit,
-    full_balanced,
-    full_optimal,
-    markov_opt_balanced,
-    markov_optimal,
-    markov_os_balanced,
-    markov_os_suboptimal,
-    multiple_shot,
-    predict,
-    stat_one_shot,
-    stat_optimal,
-)
+from .strategies import DEFAULT_EPSILON, PAPER_STRATEGIES, STAT, STRATEGIES, build, predict
 from .traceio import read_trace, write_trace
-
-ALL_STRATEGIES = (
-    "stat_one_shot", "stat_optimal", "multiple_shot",
-    "markov_os_balanced", "markov_os_suboptimal", "markov_opt_balanced",
-    "markov_optimal", "full_balanced", "full_optimal",
-)
-STRATEGY_MODE = {
-    "always_transmit": "stat", "stat_one_shot": "stat", "stat_optimal": "stat",
-    "multiple_shot": "stat", "markov_os_balanced": "markov",
-    "markov_os_suboptimal": "markov", "markov_opt_balanced": "markov",
-    "markov_optimal": "markov", "full_balanced": "full", "full_optimal": "full",
-}
 
 
 def load_config(path) -> dict:
@@ -65,6 +38,14 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """Config section `key`; absent reads as empty, a non-object is an error."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section `{key}` must be an object")
+    return section
 
 
 def build_model(spec: dict, allow_schedule: bool = True):
@@ -108,73 +89,61 @@ def design_source(cfg: dict):
     return src
 
 
-def design_dist(source) -> HyperExpDist:
-    return source.marginal_dist() if isinstance(source, SmmppModel) else source
-
-
-def build_strategy(name: str, source, eta: float, epsilon: float) -> Strategy:
-    if name not in CONSTRUCTORS:
-        raise ConfigError(f"unknown strategy {name!r}; known: {', '.join(CONSTRUCTORS)}")
-    if name == "always_transmit":
-        return always_transmit()
-    try:
-        if name in ("stat_one_shot", "stat_optimal"):
-            ctor = stat_one_shot if name == "stat_one_shot" else stat_optimal
-            return ctor(design_dist(source), eta)
-        if name == "multiple_shot":
-            return multiple_shot(design_dist(source).rates, eta, epsilon)
-        if not isinstance(source, SmmppModel):
-            raise ConfigError(f"strategy {name} needs a transition matrix in the model")
-        ctor = {
-            "markov_os_balanced": markov_os_balanced,
-            "markov_os_suboptimal": markov_os_suboptimal,
-            "markov_opt_balanced": markov_opt_balanced,
-            "markov_optimal": markov_optimal,
-            "full_balanced": full_balanced,
-            "full_optimal": full_optimal,
-        }[name]
-        return ctor(source, eta)
-    except ValueError as exc:
-        raise ConfigError(f"cannot build {name}: {exc}") from exc
-
-
-def get_eta(args, cfg: dict, allow_list: bool = False):
-    raw = args.eta if args.eta is not None else cfg.get("strategy", {}).get("eta")
+def get_etas(args, configured, key: str) -> list[float]:
+    """Collision budgets from --eta or the config value at `key`: a number,
+    a comma-separated string or a list of numbers."""
+    raw = args.eta if args.eta is not None else configured
     if raw is None:
-        raise ConfigError("collision budget is required (--eta or strategy.eta)")
-    if isinstance(raw, (int, float)):
-        values = [float(raw)]
+        raise ConfigError(f"collision budget is required (--eta or {key})")
+    if isinstance(raw, str):
+        items = [v for v in raw.split(",") if v]
     else:
-        values = [float(v) for v in str(raw).split(",") if v]
+        items = raw if isinstance(raw, list) else [raw]
+    try:
+        values = [float(v) for v in items]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"eta must be a number, a comma list or a list, got {raw!r}") from exc
     if not values or any(not 0 < v < 1 for v in values):
         raise ConfigError(f"eta values must lie in (0, 1), got {raw!r}")
-    if allow_list:
-        return values
+    return values
+
+
+def get_eta(args, cfg: dict) -> float:
+    values = get_etas(args, _section(cfg, "strategy").get("eta"), "strategy.eta")
     if len(values) != 1:
         raise ConfigError("this command takes a single eta")
     return values[0]
 
 
 def get_epsilon(args, cfg: dict) -> float:
-    raw = args.epsilon if args.epsilon is not None else cfg.get("strategy", {}).get("epsilon")
+    raw = args.epsilon if args.epsilon is not None else _section(cfg, "strategy").get("epsilon")
     return DEFAULT_EPSILON if raw is None else float(raw)
 
 
 def get_window(args, cfg: dict) -> int:
-    raw = args.window if args.window is not None else cfg.get("eval", {}).get("window", 100)
+    raw = args.window if args.window is not None else _section(cfg, "eval").get("window", 100)
     w = int(raw)
     if w < 1:
         raise ConfigError("window must be >= 1")
     return w
 
 
+def get_sim_seed(args, cfg: dict) -> int:
+    return args.seed if args.seed is not None else int(_section(cfg, "eval").get("seed", 0))
+
+
+def _sim_inputs(args, cfg: dict):
+    """Outage window, seed and trace of a simulation run."""
+    return get_window(args, cfg), get_sim_seed(args, cfg), get_trace(cfg, None)[0]
+
+
 def get_trace(cfg: dict, seed_override) -> tuple[IdleTrace, int | None]:
-    spec = cfg.get("trace")
-    if not isinstance(spec, dict) or len([k for k in ("generate", "file") if k in spec]) != 1:
+    spec = _section(cfg, "trace")
+    if len([k for k in ("generate", "file") if k in spec]) != 1:
         raise ConfigError("trace section needs exactly one of `generate` or `file`")
     if "file" in spec:
         return read_trace(spec["file"]), None
-    gen = spec["generate"]
+    gen = _section(spec, "generate")
     try:
         cycles = int(gen["cycles"])
     except KeyError as exc:
@@ -189,11 +158,11 @@ def get_trace(cfg: dict, seed_override) -> tuple[IdleTrace, int | None]:
 
 
 def select_names(args, cfg: dict) -> list[str]:
-    raw = args.strategy if args.strategy else cfg.get("strategy", {}).get("name", "all")
-    names = list(ALL_STRATEGIES) if raw == "all" else [s for s in raw.split(",") if s]
+    raw = args.strategy if args.strategy else _section(cfg, "strategy").get("name", "all")
+    names = list(PAPER_STRATEGIES) if raw == "all" else [s for s in raw.split(",") if s]
     mode = getattr(args, "ptsi", None)
     if mode:
-        names = [n for n in names if STRATEGY_MODE.get(n) == mode]
+        names = [n for n in names if n in STRATEGIES and STRATEGIES[n][0] == mode]
         if not names:
             raise ConfigError(f"no selected strategy has PTSI mode {mode!r}")
     return names
@@ -229,7 +198,7 @@ def _fmt(v) -> str:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    if "generate" not in cfg.get("trace", {}):
+    if "generate" not in _section(cfg, "trace"):
         raise ConfigError("generate needs a trace.generate section in the config")
     if args.out is None:
         raise ConfigError("generate needs --out")
@@ -299,9 +268,7 @@ def cmd_diagnose(args) -> int:
 def _eval_setup(args, cfg):
     eta = get_eta(args, cfg)
     epsilon = get_epsilon(args, cfg)
-    window = get_window(args, cfg)
-    sim_seed = args.seed if args.seed is not None else int(cfg.get("eval", {}).get("seed", 0))
-    trace, _ = get_trace(cfg, None)
+    window, sim_seed, trace = _sim_inputs(args, cfg)
     source = design_source(cfg)
     return eta, epsilon, window, sim_seed, trace, source
 
@@ -313,10 +280,8 @@ def cmd_eval(args) -> int:
     if len(names) != 1:
         raise ConfigError("eval runs a single strategy; use compare for several")
     name = names[0]
-    strategy = build_strategy(name, source, eta, epsilon)
-    sim_source = source if isinstance(source, SmmppModel) else None
-    res = run_strategy(trace, strategy, source=sim_source, seed=sim_seed,
-                       window=window, eta=eta)
+    strategy = build(name, source, eta, epsilon)
+    res = run_strategy(trace, strategy, source=source, seed=sim_seed, window=window, eta=eta)
     pred = predict(strategy, source)
     comments = header_lines(cfg, sim_seed, extra={"command": "eval"})
     columns = ["strategy", "mode", "eta", "cycles", "capacity", "collision",
@@ -335,11 +300,10 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     eta, epsilon, window, sim_seed, trace, source = _eval_setup(args, cfg)
     names = select_names(args, cfg)
-    strategies = {n: build_strategy(n, source, eta, epsilon) for n in names}
-    sim_source = source if isinstance(source, SmmppModel) else None
+    strategies = {n: build(n, source, eta, epsilon) for n in names}
     rows_out = []
     for row in compare_strategies(strategies, trace, eta, seed=sim_seed,
-                                  source=sim_source, window=window):
+                                  source=source, window=window):
         pred = predict(strategies[row.name], source)
         rows_out.append([row.name, eta, row.capacity, row.collision_prob,
                          row.outage_prob, pred.capacity, pred.collision])
@@ -352,38 +316,27 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    sweep_cfg = cfg.get("sweep", {})
+    sweep_cfg = _section(cfg, "sweep")
     if "true_weights" in sweep_cfg:
         return _robustness_sweep(args, cfg, sweep_cfg)
-    etas = args.eta if args.eta is not None else sweep_cfg.get("etas")
-    if etas is None:
-        raise ConfigError("sweep needs --eta or a sweep.etas list")
-    if isinstance(etas, str):
-        etas = [float(v) for v in etas.split(",") if v]
-    etas = [float(v) for v in etas]
-    if any(not 0 < v < 1 for v in etas):
-        raise ConfigError("eta values must lie in (0, 1)")
+    etas = get_etas(args, sweep_cfg.get("etas"), "sweep.etas")
     epsilon = get_epsilon(args, cfg)
     source = design_source(cfg)
     names = select_names(args, cfg)
     simulate = bool(args.simulate or sweep_cfg.get("simulate", False))
+    columns = ["strategy", "eta", "predicted_capacity", "predicted_collision"]
     trace = sim_seed = window = None
     if simulate:
-        window = get_window(args, cfg)
-        sim_seed = args.seed if args.seed is not None else int(cfg.get("eval", {}).get("seed", 0))
-        trace, _ = get_trace(cfg, None)
-    columns = ["strategy", "eta", "predicted_capacity", "predicted_collision"]
-    if simulate:
+        window, sim_seed, trace = _sim_inputs(args, cfg)
         columns += ["capacity", "collision", "outage"]
     rows = []
     for eta in etas:
         for name in names:
-            strategy = build_strategy(name, source, eta, epsilon)
+            strategy = build(name, source, eta, epsilon)
             pred = predict(strategy, source)
             row = [name, eta, pred.capacity, pred.collision]
             if simulate:
-                sim_source = source if isinstance(source, SmmppModel) else None
-                res = run_strategy(trace, strategy, source=sim_source,
+                res = run_strategy(trace, strategy, source=source,
                                    seed=sim_seed, window=window, eta=eta)
                 row += [res.capacity, res.collision_prob, res.outage_prob]
             rows.append(row)
@@ -399,19 +352,21 @@ def _robustness_sweep(args, cfg: dict, sweep_cfg: dict) -> int:
     epsilon = get_epsilon(args, cfg)
     window = get_window(args, cfg)
     source = design_source(cfg)
-    dist = design_dist(source)
     cycles = int(sweep_cfg.get("cycles", 100_000))
-    sim_seed = args.seed if args.seed is not None else int(cfg.get("eval", {}).get("seed", 0))
+    sim_seed = get_sim_seed(args, cfg)
+    true_weights = sweep_cfg["true_weights"]
+    if not isinstance(true_weights, list) or not true_weights:
+        raise ConfigError("sweep.true_weights must be a non-empty list of weight vectors")
     names = select_names(args, cfg)
     if args.strategy is None and "strategies" in sweep_cfg:
         names = list(sweep_cfg["strategies"])
-    strategies = {n: build_strategy(n, source, eta, epsilon) for n in names}
+    strategies = {n: build(n, source, eta, epsilon) for n in names}
     for n in names:
-        if strategies[n].mode != "stat":
+        if strategies[n].mode != STAT:
             raise ConfigError("robustness sweeps support statistical-PTSI strategies only")
     rows = []
-    for k, weights in enumerate(sweep_cfg["true_weights"]):
-        true_dist = HyperExpDist(np.asarray(weights, dtype=float), dist.rates.copy())
+    for k, weights in enumerate(true_weights):
+        true_dist = HyperExpDist(np.asarray(weights, dtype=float), source.rates)
         true_model = SmmppModel.from_mixture(true_dist)
         trace = generate(true_model, cycles, seed=sim_seed + k)
         for name in names:
@@ -419,7 +374,7 @@ def _robustness_sweep(args, cfg: dict, sweep_cfg: dict) -> int:
                                window=window, eta=eta)
             rows.append([name, eta] + [float(w) for w in weights]
                         + [res.capacity, res.collision_prob, res.outage_prob])
-    n_weights = len(sweep_cfg["true_weights"][0])
+    n_weights = len(true_weights[0])
     columns = (["strategy", "eta"] + [f"true_alpha_{i + 1}" for i in range(n_weights)]
                + ["capacity", "collision", "outage"])
     comments = header_lines(cfg, sim_seed, extra={"command": "sweep-robustness"})

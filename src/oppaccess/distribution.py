@@ -43,8 +43,8 @@ class HyperExpDist:
         lam = np.atleast_1d(np.asarray(self.rates, dtype=float)).copy()
         if w.shape != lam.shape or w.ndim != 1 or w.size < 1:
             raise ValueError("weights and rates must be 1-d arrays of equal length >= 1")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise ValueError("weights must be nonnegative and finite")
         if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
             raise ValueError("rates must be positive and finite")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:

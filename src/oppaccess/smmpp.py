@@ -29,8 +29,8 @@ def steady_state(transition: np.ndarray, tol: float = STATIONARY_TOL) -> np.ndar
     p = np.asarray(transition, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
         raise ModelError("transition matrix must be square")
-    if np.any(p < 0):
-        raise ModelError("transition probabilities must be nonnegative")
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise ModelError("transition probabilities must be nonnegative and finite")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise ModelError(f"transition matrix rows must sum to 1 within {ROW_SUM_TOL}")
     n = p.shape[0]
@@ -117,8 +117,8 @@ class IdleTrace:
         d = np.asarray(self.durations, dtype=float)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("durations must be a non-empty 1-d array")
-        if np.any(d <= 0):
-            raise ValueError("durations must be positive")
+        if not np.all(d > 0) or not np.isfinite(d.max()):
+            raise ValueError("durations must be positive and finite")
         d.flags.writeable = False
         object.__setattr__(self, "durations", d)
         if self.states is not None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import HyperExpDist
+from .distribution import HyperExpDist, exponential
 from .errors import ModelError, SolverError
 from .smmpp import SmmppModel
 
@@ -164,38 +164,36 @@ def _episode_metrics(weights: np.ndarray, rates: np.ndarray,
     return cap, col
 
 
-def _contexts_for(strategy: Strategy, source) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    if strategy.mode == STAT:
+def _context_laws(mode: str, source) -> list[tuple[float, HyperExpDist]]:
+    """(stationary weight, idle-time law) of each context a `mode` strategy
+    conditions on: the marginal law for stat, the next-idle law given the
+    previous state for markov, the current state's exponential for full."""
+    if mode == STAT:
         if isinstance(source, SmmppModel):
-            dist = source.marginal_dist()
-        elif isinstance(source, HyperExpDist):
-            dist = source
-        else:
-            raise ModelError(f"unsupported source {type(source).__name__}")
-        return [(1.0, dist.weights, dist.rates)]
+            return [(1.0, source.marginal_dist())]
+        if isinstance(source, HyperExpDist):
+            return [(1.0, source)]
+        raise ModelError(f"unsupported source {type(source).__name__}")
     if not isinstance(source, SmmppModel):
-        raise ModelError(f"{strategy.mode}-mode strategies need an SmmppModel source")
-    if strategy.n_contexts != source.n:
-        raise ModelError(
-            f"strategy has {strategy.n_contexts} contexts but model has {source.n} states")
-    out = []
-    for i in range(source.n):
-        if strategy.mode == MARKOV:
-            d = source.conditional_next_dist(i)
-            out.append((float(source.steady[i]), d.weights, d.rates))
-        else:
-            out.append((float(source.steady[i]), np.array([1.0]), source.rates[i:i + 1]))
-    return out
+        raise ModelError(f"{mode}-mode strategies need an SmmppModel source")
+    if mode == MARKOV:
+        laws = [source.conditional_next_dist(i) for i in range(source.n)]
+    else:
+        laws = [exponential(rate) for rate in source.rates]
+    return [(float(a), law) for a, law in zip(source.steady, laws)]
 
 
 def predict(strategy: Strategy, source) -> StrategyPrediction:
     """Evaluate the capacity and collision integrals of a schedule under the
     given idle-time law, context-weighted by the stationary distribution."""
-    contexts = _contexts_for(strategy, source)
+    contexts = _context_laws(strategy.mode, source)
+    if strategy.n_contexts != len(contexts):
+        raise ModelError(
+            f"strategy has {strategy.n_contexts} contexts but model has {source.n} states")
     per = []
     capacity = collision = 0.0
-    for (cw, w, r), ctx in zip(contexts, strategy.episodes):
-        cap, col = _episode_metrics(w, r, ctx)
+    for (cw, law), ctx in zip(contexts, strategy.episodes):
+        cap, col = _episode_metrics(law.weights, law.rates, ctx)
         per.append((cap, col))
         capacity += cw * cap
         collision += cw * col
@@ -203,23 +201,56 @@ def predict(strategy: Strategy, source) -> StrategyPrediction:
     return StrategyPrediction(capacity, collision, per_state)
 
 
-def _tau_hi(rates: np.ndarray) -> float:
-    return TAU_BRACKET_FACTOR / float(rates.min())
-
-
-def _solve_cdf_time(weights: np.ndarray, rates: np.ndarray, mass: float) -> float:
-    """Smallest t with 1 - sum(w exp(-r t)) = mass; 'effectively infinite'
-    when the root lies beyond the standard bracket."""
-    hi = _tau_hi(rates)
-
-    def cdf(t):
-        return 1.0 - float(np.sum(weights * np.exp(-rates * t)))
-
-    if cdf(hi) < mass:
+def _crossing_time(law: HyperExpDist, mass: float, tail: bool) -> float:
+    """Time at which the survival mass left (tail) or the mass already
+    spent (front cap) equals `mass`; 'effectively infinite' when the
+    crossing lies beyond TAU_BRACKET_FACTOR mean times of the slowest rate."""
+    curve = law.ccdf if tail else law.cdf
+    hi = TAU_BRACKET_FACTOR / float(law.rates[0])
+    if (curve(hi) > mass) if tail else (curve(hi) < mass):
+        what = "waiting threshold" if tail else "transmission cap"
         raise SolverError(
-            f"transmission cap for collision mass {mass:g} is effectively infinite "
-            f"(beyond {hi:g} s)")
-    return solve_root(cdf, mass, 0.0, hi)
+            f"{what} for collision mass {mass:g} is effectively infinite (beyond {hi:g} s)")
+    return solve_root(curve, mass, 0.0, hi)
+
+
+def _front_cap(law: HyperExpDist, mass: float) -> Episode:
+    """Transmit from time zero until `mass` of the idle times have ended."""
+    return Episode(0.0, _crossing_time(law, mass, tail=False))
+
+
+def _tail(law: HyperExpDist, mass: float) -> Episode:
+    """Wait until only `mass` of the idle times survive, then transmit."""
+    return Episode(_crossing_time(law, mass, tail=True), math.inf)
+
+
+def _balanced(mode: str, source, eta: float, episode, name: str) -> Strategy:
+    """The same `episode` shape spending eta in every context."""
+    _check_eta(eta)
+    ctxs = tuple((episode(law, eta),) for _, law in _context_laws(mode, source))
+    return Strategy(mode, ctxs, name)
+
+
+def _prefix_fill(order: np.ndarray, weights: np.ndarray, eta: float, front_cap) -> tuple:
+    """Spend eta on contexts in `order`: whole contexts transmit freely while
+    their cumulative stationary weight fits the budget, the marginal context
+    gets `front_cap(context, share)` for the share of its mass that is left,
+    the rest stay silent."""
+    _check_eta(eta)
+    alpha = weights[order]
+    prefix = np.cumsum(alpha)
+    # a budget just below 1 can exceed the weights' floating-point sum
+    m = min(int(np.searchsorted(prefix, eta, side="left")), len(order) - 1)
+    spent = float(prefix[m - 1]) if m > 0 else 0.0
+    ctxs: list[tuple[Episode, ...]] = [() for _ in order]
+    for k in range(m):
+        ctxs[order[k]] = (Episode(0.0, math.inf),)
+    residual = (eta - spent) / float(alpha[m])
+    if residual >= 1.0 - 1e-12:
+        ctxs[order[m]] = (Episode(0.0, math.inf),)
+    elif residual > 0.0:
+        ctxs[order[m]] = (front_cap(order[m], residual),)
+    return tuple(ctxs)
 
 
 def always_transmit() -> Strategy:
@@ -230,38 +261,20 @@ def always_transmit() -> Strategy:
 def stat_one_shot(dist: HyperExpDist, eta: float) -> Strategy:
     """Transmit from the start of each idle time up to the cap that spends
     the whole collision budget."""
-    _check_eta(eta)
-    tau = _solve_cdf_time(dist.weights, dist.rates, eta)
-    return Strategy(STAT, ((Episode(0.0, tau),),), "stat_one_shot")
+    return _balanced(STAT, dist, eta, _front_cap, "stat_one_shot")
 
 
 def stat_optimal(dist: HyperExpDist, eta: float) -> Strategy:
     """Wait until the survival mass drops to eta, then transmit to the end
     of the idle time. Optimal under purely statistical knowledge because
     the value-to-cost ratio is nondecreasing."""
-    _check_eta(eta)
-    hi = _tau_hi(dist.rates)
-
-    def ccdf(t):
-        return float(np.sum(dist.weights * np.exp(-dist.rates * t)))
-
-    if ccdf(hi) > eta:
-        raise SolverError(
-            f"waiting threshold for budget {eta:g} is effectively infinite (beyond {hi:g} s)")
-    tau = solve_root(ccdf, eta, 0.0, hi)
-    return Strategy(STAT, ((Episode(tau, math.inf),),), "stat_optimal")
+    return _balanced(STAT, dist, eta, _tail, "stat_optimal")
 
 
 def markov_os_balanced(model: SmmppModel, eta: float) -> Strategy:
     """Per previous state, transmit from time zero up to the cap putting the
     same collision probability eta on every state."""
-    _check_eta(eta)
-    ctxs = []
-    for i in range(model.n):
-        d = model.conditional_next_dist(i)
-        tau = _solve_cdf_time(d.weights, d.rates, eta)
-        ctxs.append((Episode(0.0, tau),))
-    return Strategy(MARKOV, tuple(ctxs), "markov_os_balanced")
+    return _balanced(MARKOV, model, eta, _front_cap, "markov_os_balanced")
 
 
 def markov_os_suboptimal(model: SmmppModel, eta: float) -> Strategy:
@@ -269,45 +282,16 @@ def markov_os_suboptimal(model: SmmppModel, eta: float) -> Strategy:
     most: order states by conditional mean idle time descending, let whole
     states transmit freely until the budget runs out, cap the marginal
     state, silence the rest."""
-    _check_eta(eta)
-    cond = [model.conditional_next_dist(i) for i in range(model.n)]
-    benefit = np.array([d.mean() for d in cond])
-    order = np.argsort(-benefit, kind="stable")
-    alpha = model.steady[order]
-    prefix = np.cumsum(alpha)
-    m = int(np.searchsorted(prefix, eta, side="left"))
-    spent = float(prefix[m - 1]) if m > 0 else 0.0
-    ctxs: list[tuple[Episode, ...]] = [() for _ in range(model.n)]
-    for k in range(m):
-        ctxs[order[k]] = (Episode(0.0, math.inf),)
-    residual = (eta - spent) / float(alpha[m])
-    if residual >= 1.0 - 1e-12:
-        ctxs[order[m]] = (Episode(0.0, math.inf),)
-    elif residual > 0.0:
-        d = cond[order[m]]
-        tau = _solve_cdf_time(d.weights, d.rates, residual)
-        ctxs[order[m]] = (Episode(0.0, tau),)
-    return Strategy(MARKOV, tuple(ctxs), "markov_os_suboptimal")
+    cond = [law for _, law in _context_laws(MARKOV, model)]
+    order = np.argsort(-np.array([law.mean() for law in cond]), kind="stable")
+    ctxs = _prefix_fill(order, model.steady, eta, lambda i, share: _front_cap(cond[i], share))
+    return Strategy(MARKOV, ctxs, "markov_os_suboptimal")
 
 
 def markov_opt_balanced(model: SmmppModel, eta: float) -> Strategy:
     """Per previous state, the tail policy spending eta under that state's
     conditional idle-time law."""
-    _check_eta(eta)
-    ctxs = []
-    for i in range(model.n):
-        d = model.conditional_next_dist(i)
-        hi = _tau_hi(d.rates)
-
-        def ccdf(t, d=d):
-            return float(np.sum(d.weights * np.exp(-d.rates * t)))
-
-        if ccdf(hi) > eta:
-            raise SolverError(
-                f"state {i} waiting threshold for budget {eta:g} is effectively infinite")
-        tau = solve_root(ccdf, eta, 0.0, hi)
-        ctxs.append((Episode(tau, math.inf),))
-    return Strategy(MARKOV, tuple(ctxs), "markov_opt_balanced")
+    return _balanced(MARKOV, model, eta, _tail, "markov_opt_balanced")
 
 
 class _ConditionalRow:
@@ -390,10 +374,9 @@ def markov_optimal(model: SmmppModel, eta: float,
     the same budget at the same ratio as the randomized-probability form.
     """
     _check_eta(eta)
-    rows = []
-    for i in range(model.n):
-        d = model.conditional_next_dist(i)
-        rows.append(_ConditionalRow(d.weights, d.rates, float(model.rates.min())))
+    lam_star = float(model.rates.min())
+    rows = [_ConditionalRow(law.weights, law.rates, lam_star)
+            for _, law in _context_laws(MARKOV, model)]
     alpha = model.steady
 
     def total_collision(log_phi_bar: float) -> tuple[float, list[float]]:
@@ -500,20 +483,12 @@ def full_optimal(model: SmmppModel, eta: float) -> Strategy:
     states: full transmission on the longest-idle states that fit in the
     budget, a front cap on the marginal state sized to the residual budget,
     silence elsewhere."""
-    _check_eta(eta)
-    prefix = np.cumsum(model.steady)
-    m = int(np.searchsorted(prefix, eta, side="left"))
-    spent = float(prefix[m - 1]) if m > 0 else 0.0
-    residual = (eta - spent) / float(model.steady[m])
-    ctxs: list[tuple[Episode, ...]] = [() for _ in range(model.n)]
-    for i in range(m):
-        ctxs[i] = (Episode(0.0, math.inf),)
-    if residual >= 1.0 - 1e-12:
-        ctxs[m] = (Episode(0.0, math.inf),)
-    elif residual > 0.0:
-        cap = math.log1p(-residual) / -float(model.rates[m])
-        ctxs[m] = (Episode(0.0, cap),)
-    return Strategy(FULL, tuple(ctxs), "full_optimal")
+
+    def front_cap(i, share):
+        return Episode(0.0, math.log1p(-share) / -float(model.rates[i]))
+
+    ctxs = _prefix_fill(np.arange(model.n), model.steady, eta, front_cap)
+    return Strategy(FULL, ctxs, "full_optimal")
 
 
 def multiple_shot(rates, eta: float, epsilon: float = DEFAULT_EPSILON) -> Strategy:
@@ -574,15 +549,33 @@ def multiple_shot_small_eta_capacity(weights, rates, eta: float,
     return float(total)
 
 
-CONSTRUCTORS = {
-    "always_transmit": always_transmit,
-    "stat_one_shot": stat_one_shot,
-    "stat_optimal": stat_optimal,
-    "multiple_shot": multiple_shot,
-    "markov_os_balanced": markov_os_balanced,
-    "markov_os_suboptimal": markov_os_suboptimal,
-    "markov_opt_balanced": markov_opt_balanced,
-    "markov_optimal": markov_optimal,
-    "full_balanced": full_balanced,
-    "full_optimal": full_optimal,
-}
+# The strategy registry: name -> (PTSI mode, constructor), in report order.
+# The PTSI mode is the primary traffic-state information a strategy uses.
+STRATEGIES = {ctor.__name__: (mode, ctor) for mode, ctor in (
+    (STAT, stat_one_shot), (STAT, stat_optimal), (STAT, multiple_shot),
+    (MARKOV, markov_os_balanced), (MARKOV, markov_os_suboptimal),
+    (MARKOV, markov_opt_balanced), (MARKOV, markov_optimal),
+    (FULL, full_balanced), (FULL, full_optimal),
+    (STAT, always_transmit),
+)}
+# `--strategy all`: the paper's nine strategies, without the baseline
+PAPER_STRATEGIES = tuple(name for name in STRATEGIES if name != always_transmit.__name__)
+
+
+def build(name: str, source, eta: float, epsilon: float) -> Strategy:
+    """Construct the registered strategy `name` from a design source: a
+    HyperExpDist or SmmppModel for stat strategies (designed from the
+    marginal law), an SmmppModel for markov and full ones."""
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; known: {', '.join(STRATEGIES)}")
+    mode, ctor = STRATEGIES[name]
+    if ctor is always_transmit:
+        return ctor()
+    if mode != STAT:
+        if not isinstance(source, SmmppModel):
+            raise ValueError(f"strategy {name} needs a transition matrix in the model")
+        return ctor(source, eta)
+    (_, dist), = _context_laws(STAT, source)
+    if ctor is multiple_shot:
+        return ctor(dist.rates, eta, epsilon)
+    return ctor(dist, eta)

@@ -50,7 +50,10 @@ def read_trace(path) -> IdleTrace:
             continue
         if line.startswith("#"):
             if line.startswith(_SEGMENT_PREFIX):
-                boundaries.append(int(line[len(_SEGMENT_PREFIX):]))
+                try:
+                    boundaries.append(int(line[len(_SEGMENT_PREFIX):]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad segment marker {line!r}") from exc
             continue
         parts = line.split(",")
         try:

@@ -272,7 +272,37 @@ def test_config_errors_exit_2(tmp_path, capsys):
         "strategy": {"name": "stat_optimal", "eta": 1.5},
     }, name="cfg2.json")
     assert main(["eval", "--config", cfg2]) == 2
+    eval_cfg = {"model": THREE_STATE, "trace": {"generate": {"cycles": 100, "seed": 0}},
+                "strategy": {"name": "stat_optimal", "eta": 0.1}}
+    for section, value in (("strategy", 3), ("eval", 3), ("trace", {"generate": 3}),
+                           ("strategy", {"name": "stat_optimal", "eta": ["a"]}),
+                           ("strategy", {"name": "stat_optimal", "eta": []}),
+                           ("strategy", {"name": "stat_optimal", "eta": {"x": 0.1}})):
+        bad_cfg = write_config(tmp_path, {**eval_cfg, section: value}, name="bad_eval.json")
+        assert main(["eval", "--config", bad_cfg]) == 2, (section, value)
+    for sweep in (3, {"true_weights": []}, {"true_weights": 3}):
+        bad_cfg = write_config(tmp_path, {"model": THREE_STATE, "strategy": {"eta": 0.1},
+                                          "sweep": sweep}, name="bad_sweep.json")
+        assert main(["sweep", "--config", bad_cfg]) == 2, sweep
     capsys.readouterr()
+
+
+def test_eta_accepts_number_comma_string_and_list(tmp_path):
+    def rows(command, cfg):
+        report = tmp_path / "report.csv"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(report)]) == 0
+        return read_table(report)[1]
+
+    sweeps = [rows("sweep", {"model": THREE_STATE, "sweep": {"etas": etas}})
+              for etas in (0.05, "0.05", [0.05], "0.01,0.05", [0.01, 0.05])]
+    assert sweeps[0] == sweeps[1] == sweeps[2] == sweeps[3][9:]
+    assert sweeps[3] == sweeps[4]
+    evals = [rows("eval", {"model": THREE_STATE,
+                           "trace": {"generate": {"cycles": 1000, "seed": 0}},
+                           "strategy": {"name": "stat_optimal", "eta": eta}})
+             for eta in (0.05, [0.05])]
+    assert evals[0] == evals[1]
 
 
 def test_missing_trace_file_exits_3(tmp_path):

@@ -150,6 +150,8 @@ def test_construction_validation():
         HyperExpDist(np.array([1.0]), np.array([-1.0]))
     with pytest.raises(ValueError):
         HyperExpDist(np.array([-0.1, 1.1]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        HyperExpDist(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
 
 
 def test_duplicate_rates_flagged():

@@ -39,8 +39,8 @@ MODELS = {
     # test_markov_optimal_budget_below_constant_row_mass
     "atom": ([10.0, 1000.0], [[0.9, 0.1], [1.0, 0.0]]),
 }
-# the budgets those two tests use, on top of ETAS
-EXTRA_ETAS = {"tie": (0.9,), "atom": ()}
+# the budget the tie test uses, on top of ETAS
+EXTRA_ETAS = {"tie": (0.9,)}
 CONSTRUCTORS = (
     ("stat_one_shot", lambda model, eta: stat_one_shot(model.marginal_dist(), eta)),
     ("stat_optimal", lambda model, eta: stat_optimal(model.marginal_dist(), eta)),

@@ -194,6 +194,8 @@ def test_model_validation():
         SmmppModel(np.array([5.0, 100.0]), np.array([[1.0, 0.0]]))
     with pytest.raises(ModelError):
         SmmppModel(np.array([-5.0, 100.0]), np.eye(2))
+    with pytest.raises(ModelError, match="finite"):
+        SmmppModel(np.array([5.0, 100.0]), np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
 def test_trace_validation(three_state_model):
@@ -201,6 +203,9 @@ def test_trace_validation(three_state_model):
 
     with pytest.raises(ValueError):
         IdleTrace(np.array([0.1, -0.2]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            IdleTrace(np.array([0.1, bad]))
     with pytest.raises(ValueError):
         IdleTrace(np.array([0.1, 0.2]), np.array([0]))
     with pytest.raises(ValueError):

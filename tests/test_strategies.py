@@ -339,6 +339,18 @@ def test_full_optimal_marginal_state_gets_residual(three_state_model):
     assert predict(s, three_state_model).collision == pytest.approx(0.4, abs=1e-12)
 
 
+def test_prefix_fill_budget_above_float_sum_of_weights():
+    # the stationary weights of this chain sum to 1 - 2**-52 in floating
+    # point, below the largest budget under 1
+    m = SmmppModel(np.array([1.0, 10.0, 100.0]),
+                   np.array([[0.1, 0.9, 0.0], [0.0, 0.5, 0.5], [0.9, 0.0, 0.1]]))
+    eta = 1.0 - 2.0 ** -53
+    assert np.cumsum(m.steady)[-1] < eta
+    for construct in (full_optimal, markov_os_suboptimal):
+        s = construct(m, eta)
+        assert all(ctx == (Episode(0.0, math.inf),) for ctx in s.episodes), construct.__name__
+
+
 def test_full_optimal_dominates_everything(three_state_model, three_rate_mixture):
     for eta in ETAS:
         strategies = build_all(three_state_model, three_rate_mixture, eta)

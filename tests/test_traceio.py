@@ -44,6 +44,10 @@ def test_read_errors_name_the_line(tmp_path):
     zero_state.write_text("0.1,0\n")
     with pytest.raises(DataError, match="1-based"):
         read_trace(zero_state)
+    segment = tmp_path / "segment.trace"
+    segment.write_text("0.1\n# segment: cycle=abc\n0.2\n")
+    with pytest.raises(DataError, match=":2: bad segment marker"):
+        read_trace(segment)
 
 
 def test_read_missing_and_empty_files(tmp_path):
