@@ -1,12 +1,17 @@
 """Golden outputs: every strategy schedule and four CLI reports, compared
 exactly (`==` on floats, bytes on reports) against files recorded from the
-code before the strategy constructions were rebuilt on shared kernels.
+code before the strategy constructions were rebuilt on shared kernels; and
+sha256 digests of generated traces (per model, size and seed) and of trace
+files, recorded from the per-cycle generator and line-by-line trace I/O.
+The generator's output per seed is a compatibility contract: every report
+claims to be reproducible from its embedded config and seed.
 
 Rewrite the files after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,20 +19,27 @@ import numpy as np
 import pytest
 
 from oppaccess import (
+    HyperExpDist,
+    IdleTrace,
+    NonstationarySchedule,
     SmmppModel,
     full_balanced,
     full_optimal,
+    generate,
+    generate_nonstationary,
     markov_opt_balanced,
     markov_optimal,
     markov_os_balanced,
     markov_os_suboptimal,
     multiple_shot,
+    read_trace,
     stat_one_shot,
     stat_optimal,
+    write_trace,
 )
 from oppaccess.cli import main
 
-from conftest import THREE_STATE_P, THREE_STATE_RATES
+from conftest import THREE_STATE_P, THREE_STATE_RATES, TWO_RATE_RATES, TWO_RATE_WEIGHTS
 
 GOLDEN = Path(__file__).parent / "golden"
 ETAS = (0.01, 0.05, 0.1)
@@ -73,6 +85,62 @@ REPORTS = {
 }
 
 
+# sizes on both sides of the generator's block and chunk edges
+GENERATOR_SIZES = (1, 1023, 1024, 1025, 65537, 1_000_000)
+GENERATOR_SEEDS = (3, 7)
+GENERATOR_MODELS = {
+    "three_state": lambda: SmmppModel(THREE_STATE_RATES, THREE_STATE_P),
+    "five_state": lambda: SmmppModel(
+        [2.0, 20.0, 200.0, 2000.0, 20000.0],
+        [[0.8 if i == j else 0.05 for j in range(5)] for i in range(5)]),
+    "mixture": lambda: SmmppModel.from_mixture(HyperExpDist(TWO_RATE_WEIGHTS, TWO_RATE_RATES)),
+    "tie": lambda: SmmppModel([10.0, 1000.0], [[0.0, 1.0], [0.3, 0.7]]),
+}
+
+
+def _sha(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _trace_sha(trace: IdleTrace) -> str:
+    states = b"" if trace.states is None else trace.states.astype("<i8").tobytes()
+    return _sha(trace.durations.astype("<f8").tobytes(), states,
+                repr(trace.boundaries).encode())
+
+
+def _schedule_trace() -> IdleTrace:
+    """A mixture segment, then a Markov one, then the mixture again; the
+    first switch falls on a multiple of 1024 cycles."""
+    mixture = HyperExpDist(np.array([0.5, 0.3, 0.2]), THREE_STATE_RATES)
+    model = SmmppModel(THREE_STATE_RATES, THREE_STATE_P)
+    schedule = NonstationarySchedule(((65536, mixture), (1000, model), (3464, mixture)))
+    return generate_nonstationary(schedule, seed=5)
+
+
+def trace_digests(workdir: Path) -> dict:
+    """sha256 of generated arrays, of written trace files and of the arrays
+    read back from them."""
+    out = {}
+    for name, make in GENERATOR_MODELS.items():
+        model = make()
+        for n in GENERATOR_SIZES:
+            for seed in GENERATOR_SEEDS:
+                out[f"generate/{name}/{n}/{seed}"] = _trace_sha(generate(model, n, seed))
+    labelled = _schedule_trace()
+    out["generate_nonstationary"] = _trace_sha(labelled)
+    unlabelled = IdleTrace(generate(GENERATOR_MODELS["three_state"](), 70_000, 9).durations)
+    for name, trace, header in (("labelled", labelled, ["# note: golden"]),
+                                ("unlabelled", unlabelled, None)):
+        path = workdir / f"{name}.trace"
+        write_trace(trace, path, extra_header=header)
+        out[f"write_trace/{name}"] = _sha(path.read_bytes())
+        out[f"read_trace/{name}"] = _trace_sha(read_trace(path))
+    return out
+
+
 def schedule_records() -> dict:
     out = {}
     for model_name, (rates, transition) in MODELS.items():
@@ -105,6 +173,14 @@ def test_cli_report_matches_golden_bytes(name, tmp_path):
     assert report_bytes(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def test_trace_digests_match_golden(tmp_path):
+    expected = json.loads((GOLDEN / "traces.json").read_text())
+    actual = trace_digests(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    for key, digest in actual.items():
+        assert digest == expected[key], key
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -113,3 +189,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for report in REPORTS:
             (GOLDEN / f"{report}.csv").write_bytes(report_bytes(report, Path(tmp)))
+        (GOLDEN / "traces.json").write_text(
+            json.dumps(trace_digests(Path(tmp)), indent=1) + "\n")
