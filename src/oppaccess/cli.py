@@ -48,6 +48,31 @@ def _section(cfg: dict, key: str) -> dict:
     return section
 
 
+_KINDS = {str: "a string", float: "a number", int: "an integer"}
+
+
+def _scalar(section: dict, key: str, kind: type, default=None):
+    """Config value at the dotted `key`, whose last part indexes `section`,
+    or `default` when it is absent. A present value must be a string (kind
+    str), a number (float) or a number with no fractional part (int); true,
+    false and null are none of these."""
+    name = key.rsplit(".", 1)[-1]
+    if name not in section:
+        return default
+    value = section[name]
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or value % 1 == 0))
+    if ok:
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"config key `{key}` must be {_KINDS[kind]}, got {json.dumps(value)}")
+
+
 def build_model(spec: dict, allow_schedule: bool = True):
     """Turn a model spec into HyperExpDist / SmmppModel / schedule."""
     if not isinstance(spec, dict):
@@ -116,20 +141,24 @@ def get_eta(args, cfg: dict) -> float:
 
 
 def get_epsilon(args, cfg: dict) -> float:
-    raw = args.epsilon if args.epsilon is not None else _section(cfg, "strategy").get("epsilon")
-    return DEFAULT_EPSILON if raw is None else float(raw)
+    if args.epsilon is not None:
+        return args.epsilon
+    return _scalar(_section(cfg, "strategy"), "strategy.epsilon", float, DEFAULT_EPSILON)
 
 
 def get_window(args, cfg: dict) -> int:
-    raw = args.window if args.window is not None else _section(cfg, "eval").get("window", 100)
-    w = int(raw)
+    w = args.window
+    if w is None:
+        w = _scalar(_section(cfg, "eval"), "eval.window", int, 100)
     if w < 1:
         raise ConfigError("window must be >= 1")
     return w
 
 
 def get_sim_seed(args, cfg: dict) -> int:
-    return args.seed if args.seed is not None else int(_section(cfg, "eval").get("seed", 0))
+    if args.seed is not None:
+        return args.seed
+    return _scalar(_section(cfg, "eval"), "eval.seed", int, 0)
 
 
 def _sim_inputs(args, cfg: dict):
@@ -144,11 +173,12 @@ def get_trace(cfg: dict, seed_override) -> tuple[IdleTrace, int | None]:
     if "file" in spec:
         return read_trace(spec["file"]), None
     gen = _section(spec, "generate")
-    try:
-        cycles = int(gen["cycles"])
-    except KeyError as exc:
-        raise ConfigError("trace.generate needs `cycles`") from exc
-    seed = seed_override if seed_override is not None else int(gen.get("seed", 0))
+    if "cycles" not in gen:
+        raise ConfigError("trace.generate needs `cycles`")
+    cycles = _scalar(gen, "trace.generate.cycles", int)
+    seed = seed_override
+    if seed is None:
+        seed = _scalar(gen, "trace.generate.seed", int, 0)
     model = build_model(cfg.get("model", {}), allow_schedule=True)
     if isinstance(model, NonstationarySchedule):
         return generate_nonstationary(model, seed), seed
@@ -158,7 +188,7 @@ def get_trace(cfg: dict, seed_override) -> tuple[IdleTrace, int | None]:
 
 
 def select_names(args, cfg: dict) -> list[str]:
-    raw = args.strategy if args.strategy else _section(cfg, "strategy").get("name", "all")
+    raw = args.strategy or _scalar(_section(cfg, "strategy"), "strategy.name", str, "all")
     names = list(PAPER_STRATEGIES) if raw == "all" else [s for s in raw.split(",") if s]
     mode = getattr(args, "ptsi", None)
     if mode:
@@ -352,7 +382,7 @@ def _robustness_sweep(args, cfg: dict, sweep_cfg: dict) -> int:
     epsilon = get_epsilon(args, cfg)
     window = get_window(args, cfg)
     source = design_source(cfg)
-    cycles = int(sweep_cfg.get("cycles", 100_000))
+    cycles = _scalar(sweep_cfg, "sweep.cycles", int, 100_000)
     sim_seed = get_sim_seed(args, cfg)
     true_weights = sweep_cfg["true_weights"]
     if not isinstance(true_weights, list) or not true_weights:

@@ -159,16 +159,51 @@ class NonstationarySchedule:
         object.__setattr__(self, "segments", segs)
 
 
+# The walk composes per-cycle transition maps within blocks of _BLOCK cycles
+# and steps through block heads only; _CHUNK_MAPS bounds the map entries
+# (cycles x states, one byte each for up to 256 states) held at once.
+_BLOCK = 1024
+_CHUNK_MAPS = 1 << 20
+
+
+def _walk(cum: np.ndarray, u: np.ndarray, state: int, out: np.ndarray) -> int:
+    """Write the state after each transition draw of `u` into `out`, starting
+    from `state`, and return the last of them.
+
+    Cycle t's transition is the map f_t(s) = searchsorted(cum[s], u[t]). The
+    maps of each block are composed in place, so row j of a block holds
+    f_j o ... o f_0; only the block heads are walked one at a time (a prefix
+    scan of function composition, Blelloch 1990).
+    """
+    k = cum.shape[0]
+    blocks = -(-u.size // _BLOCK)
+    maps = np.zeros((blocks * _BLOCK, k), dtype=np.min_scalar_type(k - 1))
+    for i in range(k):
+        maps[:u.size, i] = np.searchsorted(cum[i], u, side="right")
+    maps = maps.reshape(blocks, _BLOCK, k)
+    for j in range(1, _BLOCK):
+        maps[:, j] = np.take_along_axis(maps[:, j], maps[:, j - 1], axis=1)
+    heads = []
+    for last in maps[:, -1].tolist():
+        heads.append(state)
+        state = last[state]
+    heads = np.array(heads)[:, None, None]
+    out[:] = np.take_along_axis(maps, heads, axis=2).reshape(-1)[:out.size]
+    return int(out[-1])
+
+
 def _generate_arrays(model: SmmppModel, n_cycles: int, rng: np.random.Generator):
     cum = np.cumsum(model.transition, axis=1)
     cum[:, -1] = 1.0
     states = np.empty(n_cycles, dtype=np.int64)
     u = rng.random(n_cycles)
     state = int(np.searchsorted(np.cumsum(model.steady), rng.random(), side="right"))
-    state = min(state, model.n - 1)
-    for t in range(n_cycles):
-        states[t] = state
-        state = int(np.searchsorted(cum[state], u[t], side="right"))
+    state = states[0] = min(state, model.n - 1)
+    # the draw of the last cycle picks a successor that is never recorded
+    chunk = max(1, _CHUNK_MAPS // (_BLOCK * model.n)) * _BLOCK
+    for start in range(0, n_cycles - 1, chunk):
+        stop = min(start + chunk, n_cycles - 1)
+        state = _walk(cum, u[start:stop], state, states[start + 1:stop + 1])
     durations = rng.standard_exponential(n_cycles) / model.rates[states]
     return durations, states
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own closed forms: the
 slotted allocator brute-forces the budgeted maximization on a discrete
-grid, and the high-precision density uses decimal arithmetic.
+grid, the high-precision density uses decimal arithmetic, and the trace
+generator walks the chain one cycle at a time.
 """
 
 from decimal import Decimal, getcontext
@@ -47,3 +48,20 @@ def decimal_mixture_pdf(weights, rates, t, digits: int = 50) -> Decimal:
         w, lam = Decimal(str(w)), Decimal(str(lam))
         total += w * lam * (-lam * Decimal(str(t))).exp()
     return total
+
+
+def per_cycle_walk(model, n_cycles: int, rng):
+    """Durations and states of a semi-Markov trace, one transition per cycle,
+    drawing from `rng` in the order `smmpp.generate` does: the transition
+    uniforms, the initial state, then the exponentials."""
+    cum = np.cumsum(model.transition, axis=1)
+    cum[:, -1] = 1.0
+    states = np.empty(n_cycles, dtype=np.int64)
+    u = rng.random(n_cycles)
+    state = int(np.searchsorted(np.cumsum(model.steady), rng.random(), side="right"))
+    state = min(state, model.n - 1)
+    for t in range(n_cycles):
+        states[t] = state
+        state = int(np.searchsorted(cum[state], u[t], side="right"))
+    durations = rng.standard_exponential(n_cycles) / model.rates[states]
+    return durations, states

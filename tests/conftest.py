@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from oppaccess import HyperExpDist, SmmppModel
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; nothing is written to an example database.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          max_examples=100)
+settings.load_profile("tier1")
 
 THREE_STATE_RATES = np.array([5.0, 100.0, 6000.0])
 THREE_STATE_P = np.array([

@@ -285,6 +285,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                           "sweep": sweep}, name="bad_sweep.json")
         assert main(["sweep", "--config", bad_cfg]) == 2, sweep
     capsys.readouterr()
+    # scalars of the wrong JSON type exit 2 with a message naming the key
+    strategy = eval_cfg["strategy"]
+    for key, section, value in (
+            ("strategy.name", "strategy", {**strategy, "name": 3}),
+            ("strategy.epsilon", "strategy", {**strategy, "epsilon": [1]}),
+            ("strategy.epsilon", "strategy", {**strategy, "epsilon": "0.001"}),
+            ("strategy.epsilon", "strategy", {**strategy, "epsilon": 10**400}),
+            ("eval.window", "eval", {"window": None}),
+            ("eval.window", "eval", {"window": 50.5}),
+            ("eval.seed", "eval", {"seed": [1]}),
+            ("eval.seed", "eval", {"seed": True}),
+            ("trace.generate.cycles", "trace", {"generate": {"cycles": None}}),
+            ("trace.generate.cycles", "trace", {"generate": {"cycles": 1.5}}),
+            ("trace.generate.cycles", "trace", {"generate": {"cycles": "100"}}),
+            ("trace.generate.seed", "trace", {"generate": {"cycles": 100, "seed": 0.5}})):
+        bad_cfg = write_config(tmp_path, {**eval_cfg, section: value}, name="bad_scalar.json")
+        assert main(["eval", "--config", bad_cfg]) == 2, (key, value)
+        assert f"`{key}`" in capsys.readouterr().err, (key, value)
+    bad_cfg = write_config(tmp_path, {"model": THREE_STATE, "strategy": {"eta": 0.1},
+                                      "sweep": {"true_weights": [[0.2, 0.3, 0.5]],
+                                                "cycles": [1000]}}, name="bad_sweep.json")
+    assert main(["sweep", "--config", bad_cfg]) == 2
+    assert "`sweep.cycles`" in capsys.readouterr().err
 
 
 def test_eta_accepts_number_comma_string_and_list(tmp_path):

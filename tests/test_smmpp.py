@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from oppaccess import (
@@ -11,8 +14,11 @@ from oppaccess import (
     SmmppModel,
     generate,
     generate_nonstationary,
+    smmpp,
     steady_state,
 )
+
+from _oracles import per_cycle_walk
 
 
 def test_steady_state_symmetric_three_state(three_state_model):
@@ -106,6 +112,37 @@ def test_generate_is_pure_function_of_seed(three_state_model):
     assert np.array_equal(a.durations, b.durations)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.durations, c.durations)
+
+
+@st.composite
+def ring_models(draw):
+    """Irreducible 1-6 state models: each state moves to the next one around
+    a ring with positive probability; every other entry is zero or a small
+    integer weight, so rows are often sparse or deterministic."""
+    k = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                     min_size=k, max_size=k)), dtype=float)
+    weights[np.arange(k), (np.arange(k) + 1) % k] += 1.0
+    rates = draw(st.lists(st.floats(0.5, 1e4), min_size=k, max_size=k))
+    return SmmppModel(np.array(rates), weights / weights.sum(axis=1, keepdims=True))
+
+
+# (block, map entries per chunk): the shipped sizes, and small ones that put
+# many block and chunk edges inside short traces
+GEOMETRIES = [(smmpp._BLOCK, smmpp._CHUNK_MAPS), (4, 64), (8, 8)]
+
+
+@given(model=ring_models(),
+       n=st.one_of(st.integers(1, 80), st.sampled_from([1023, 1024, 1025, 1026, 2049, 3073])),
+       geometry=st.sampled_from(GEOMETRIES),
+       seed=st.integers(0, 2**32))
+def test_generate_matches_per_cycle_walk(model, n, geometry, seed):
+    block, chunk_maps = geometry
+    with mock.patch.multiple(smmpp, _BLOCK=block, _CHUNK_MAPS=chunk_maps):
+        trace = generate(model, n, seed)
+    durations, states = per_cycle_walk(model, n, np.random.default_rng(seed))
+    assert np.array_equal(trace.states, states)
+    assert np.array_equal(trace.durations, durations)
 
 
 def test_marginal_dist_single_state():
