@@ -130,6 +130,7 @@ def _parse_plain(text: str) -> IdleTrace | None:
 
 
 def _plain(ascii_text: str) -> bool:
+    """Whether `ascii_text` holds only printable ASCII, tab and newline."""
     return not ascii_text.encode("ascii").translate(None, _PLAIN)
 
 
