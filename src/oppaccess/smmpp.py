@@ -171,24 +171,28 @@ def _walk(cum: np.ndarray, u: np.ndarray, state: int, out: np.ndarray) -> int:
     from `state`, and return the last of them.
 
     Cycle t's transition is the map f_t(s) = searchsorted(cum[s], u[t]). The
-    maps of each block are composed in place, so row j of a block holds
-    f_j o ... o f_0; only the block heads are walked one at a time (a prefix
-    scan of function composition, Blelloch 1990).
+    maps of each block are composed in place, so row j holds, for every
+    block, f_j o ... o f_0 over that block's cycles; only the block heads
+    are walked one at a time (a prefix scan of function composition,
+    Blelloch 1990).
     """
     k = cum.shape[0]
-    blocks = -(-u.size // _BLOCK)
-    maps = np.zeros((blocks * _BLOCK, k), dtype=np.min_scalar_type(k - 1))
+    width = min(_BLOCK, u.size)  # a short chunk is one block of its own size
+    blocks = -(-u.size // width)
+    drawn = np.zeros(blocks * width, dtype=np.min_scalar_type(k - 1))
+    maps = np.empty((width, blocks, k), dtype=drawn.dtype)
     for i in range(k):
-        maps[:u.size, i] = np.searchsorted(cum[i], u, side="right")
-    maps = maps.reshape(blocks, _BLOCK, k)
-    for j in range(1, _BLOCK):
-        maps[:, j] = np.take_along_axis(maps[:, j], maps[:, j - 1], axis=1)
+        drawn[:u.size] = np.searchsorted(cum[i], u, side="right")
+        maps[:, :, i] = drawn.reshape(blocks, width).T
+    rows = maps.reshape(width, blocks * k)
+    offsets = np.arange(0, blocks * k, k).repeat(k)
+    for j in range(1, width):
+        rows[j] = rows[j][rows[j - 1] + offsets]
     heads = []
-    for last in maps[:, -1].tolist():
+    for last in maps[-1].tolist():
         heads.append(state)
         state = last[state]
-    heads = np.array(heads)[:, None, None]
-    out[:] = np.take_along_axis(maps, heads, axis=2).reshape(-1)[:out.size]
+    out[:] = maps[:, np.arange(blocks), heads].T.reshape(-1)[:out.size]
     return int(out[-1])
 
 

@@ -9,6 +9,7 @@ labels are 0-based).
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +73,13 @@ def _parse_plain(text: str) -> IdleTrace | None:
     the result.
 
     Only printable ASCII, tab and newline are taken: on these np.loadtxt
-    and float()/int() agree on what a number is. Blank lines are refused
-    too, so every chunk handed to np.loadtxt holds data (it warns on empty
-    input). `state` is read as an integer, never as a float.
+    and float()/int() agree on what a number is. `state` is read as an
+    integer, never as a float. Any warning from np.loadtxt also refuses the
+    file: numpy releases that still parse `2.0` as the integer 2 say so only
+    by a DeprecationWarning, and a chunk without data (blank lines between
+    comments) warns as well.
     """
-    if not text.isascii() or text.startswith("\n") or "\n\n" in text:
+    if not text.isascii():
         return None
     spans, boundaries = [], [0]
     pos = 0
@@ -111,9 +114,11 @@ def _parse_plain(text: str) -> IdleTrace | None:
                 labelled = "," in chunk
                 dtype = np.dtype(list(_COLUMNS if labelled else _COLUMNS[:1]))
             try:
-                parts.append(np.loadtxt(chunk.splitlines(), dtype=dtype,
-                                        delimiter=",", comments=None, ndmin=1))
-            except ValueError:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    parts.append(np.loadtxt(chunk.splitlines(), dtype=dtype,
+                                            delimiter=",", comments=None, ndmin=1))
+            except (ValueError, Warning):
                 return None
             lo = cut
     if not parts:

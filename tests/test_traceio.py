@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oppaccess import DataError, IdleTrace, generate, read_trace, write_trace
+from oppaccess import traceio
 from oppaccess.traceio import _parse_lines, _parse_plain
 
 
@@ -56,6 +58,9 @@ def test_read_errors_name_the_line(tmp_path):
     with pytest.raises(DataError, match=":2: bad segment marker"):
         read_trace(segment)
     for text, message in (("0.1\n1.5,2.0\n", ":2: bad state index '2.0'"),
+                          ("1.5,2.0\n", ":1: bad state index '2.0'"),
+                          ("1.5,2.7\n", ":1: bad state index '2.7'"),
+                          ("1.5,1e0\n", ":1: bad state index '1e0'"),
                           ("1.5 # note\n", ":1: bad duration '1.5 # note'"),
                           ("1.5,\n", ":1: bad state index ''"),
                           ("1.5,1,2\n", ":1: expected `duration"),
@@ -81,11 +86,18 @@ def test_read_missing_and_empty_files(tmp_path):
 
 
 def _outcome(parse):
-    """A parse's trace as plain values, or its DataError message."""
-    try:
-        trace = parse()
-    except DataError as exc:
-        return str(exc)
+    """A parse's trace as plain values, None if the parse refused the text,
+    or its DataError message; fails if the parse lets any warning escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trace = parse()
+        except DataError as exc:
+            return str(exc)
+        finally:
+            assert not caught, [str(w.message) for w in caught]
+    if trace is None:
+        return None
     states = None if trace.states is None else trace.states.tolist()
     return trace.durations.tolist(), states, trace.boundaries
 
@@ -101,18 +113,34 @@ PARSER_INPUTS = [
     "0.1\n0.2\n# segment: cycle=5\n", "# segment: cycle=0\n0.1\n",
     "  # indented comment\n0.1\n", "# a # b\n0.1\n", "# \u00e9\n0.1\n",
     "0.1\n0.2", "0.1,1\n# segment: cycle=1\n0.2,3", "1.5\x1f,2\n", "# note\x0c0.5\n0.25\n",
+    "1.5,2.7\n", "1.5,1e0\n", "# a\n \n# b\n0.1\n", "# a\n\n# b\n0.1\n",
+    "# a\n0.1\n# b\n ", "# a\n0.1\n# b\n\n", "0.1\n\n0.2\n",
 ]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", PARSER_INPUTS)
 def test_fast_reader_agrees_with_line_parser(tmp_path, text):
     path = tmp_path / "t.trace"
     path.write_bytes(text.encode())
     expected = _outcome(lambda: _parse_lines(path.read_text(), path))
     assert _outcome(lambda: read_trace(path)) == expected
-    fast = _parse_plain(path.read_text())
-    assert fast is None or _outcome(lambda: fast) == expected
+    fast = _outcome(lambda: _parse_plain(path.read_text()))
+    assert fast is None or fast == expected
+
+
+def test_fast_reader_refuses_when_loadtxt_warns(tmp_path, monkeypatch):
+    # numpy releases that parse `2.0` as the integer 2 only warn about it
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(traceio.np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "t.trace"
+    path.write_text("0.1,1\n0.2,2\n")
+    assert _outcome(lambda: _parse_plain(path.read_text())) is None
+    assert _outcome(lambda: read_trace(path)) == ([0.1, 0.2], [0, 1], (0,))
 
 
 DURATION = st.floats(1e-9, 1e9).map("{:.12g}".format)
@@ -133,9 +161,7 @@ def trace_texts(draw):
     return "\n".join(lines)
 
 
-@pytest.mark.filterwarnings("error")
 @given(trace_texts())
 def test_fast_reader_never_disagrees_with_line_parser(text):
-    fast = _parse_plain(text)
-    if fast is not None:
-        assert _outcome(lambda: fast) == _outcome(lambda: _parse_lines(text, "t"))
+    fast = _outcome(lambda: _parse_plain(text))
+    assert fast is None or fast == _outcome(lambda: _parse_lines(text, "t"))
