@@ -19,7 +19,7 @@ import numpy as np
 from .distribution import HyperExpDist
 from .errors import ConfigError, DataError, ModelError, OppaccessError, SolverError
 from .fit import em_fit, tail_diagnostics, windowed_fit
-from .simulate import compare as compare_strategies
+from .simulate import DEFAULT_WINDOW
 from .simulate import run as run_strategy
 from .smmpp import IdleTrace, NonstationarySchedule, SmmppModel, generate, generate_nonstationary
 from .strategies import DEFAULT_EPSILON, PAPER_STRATEGIES, STAT, STRATEGIES, build, predict
@@ -40,31 +40,40 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """Config section `key`; absent reads as empty, a non-object is an error."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section `{key}` must be an object")
-    return section
+def _object(value, key: str) -> dict:
+    """`value`, the config value at the dotted `key`, which must be an object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key `{key}` must be an object")
+    return value
 
 
-_KINDS = {str: "a string", float: "a number", int: "an integer"}
+def _section(section: dict, key: str) -> dict:
+    """Config object at the dotted `key` in `section`; absent reads as empty."""
+    return _object(section.get(key.rsplit(".", 1)[-1], {}), key)
 
 
-def _scalar(section: dict, key: str, kind: type, default=None):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_KINDS = {str: "a string", bool: "true or false", float: "a number", int: "an integer"}
+_REQUIRED = object()
+
+
+def _scalar(section: dict, key: str, kind: type, default=_REQUIRED):
     """Config value at the dotted `key`, whose last part indexes `section`,
-    or `default` when it is absent. A present value must be a string (kind
-    str), a number (float) or a number with no fractional part (int); true,
-    false and null are none of these."""
+    or `default` when absent (required without one): a string, true or
+    false, a number, or an integer-valued number (int); bools are not numbers."""
     name = key.rsplit(".", 1)[-1]
     if name not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"config key `{key}` is required")
         return default
     value = section[name]
-    if kind is str:
-        ok = isinstance(value, str)
+    if kind in (str, bool):
+        ok = isinstance(value, kind)
     else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and (kind is float or value % 1 == 0))
+        ok = _is_number(value) and (kind is float or value % 1 == 0)
     if ok:
         try:
             return kind(value)
@@ -73,44 +82,77 @@ def _scalar(section: dict, key: str, kind: type, default=None):
     raise ConfigError(f"config key `{key}` must be {_KINDS[kind]}, got {json.dumps(value)}")
 
 
-def build_model(spec: dict, allow_schedule: bool = True):
-    """Turn a model spec into HyperExpDist / SmmppModel / schedule."""
-    if not isinstance(spec, dict):
-        raise ConfigError("model spec must be an object")
+def _numbers(section: dict, key: str) -> np.ndarray:
+    """Config value at the dotted `key`, whose last part indexes `section`,
+    as a float array: a number or a regular nested list of numbers."""
+    value = section[key.rsplit(".", 1)[-1]]
+
+    def numeric(v) -> bool:
+        return all(map(numeric, v)) if isinstance(v, list) else _is_number(v)
+
+    if numeric(value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or beyond the float range
+            pass
+    raise ConfigError(f"config key `{key}` must be a number array, got {json.dumps(value)}")
+
+
+# flag -> (config key it overrides, kind, default)
+_SETTINGS = {"epsilon": ("strategy.epsilon", float, DEFAULT_EPSILON),
+             "window": ("eval.window", int, DEFAULT_WINDOW),  # run() refuses < 1
+             "seed": ("eval.seed", int, 0)}
+
+
+def _setting(args, cfg: dict, flag: str):
+    """--`flag` when given, else the config key it overrides (_SETTINGS)."""
+    value = getattr(args, flag)
+    if value is not None:
+        return value
+    key, kind, default = _SETTINGS[flag]
+    return _scalar(_section(cfg, key.split(".")[0]), key, kind, default)
+
+
+def build_model(spec, key: str, allow_schedule: bool = True):
+    """Turn the model spec at config key `key` into a model or schedule."""
+    _object(spec, key)
     kinds = [k for k in ("weights", "transition", "schedule") if k in spec]
     if len(kinds) != 1:
-        raise ConfigError("model spec needs exactly one of weights, transition, schedule")
+        raise ConfigError(f"model spec `{key}` needs exactly one of weights, transition, schedule")
     kind = kinds[0]
     try:
         if kind == "schedule":
             if not allow_schedule:
                 raise ConfigError("nested schedules are not supported")
-            segments = tuple(
-                (seg["cycles"], build_model(seg["model"], allow_schedule=False))
-                for seg in spec["schedule"]
-            )
-            return NonstationarySchedule(segments)
-        rates = np.asarray(spec["rates"], dtype=float)
+            if not isinstance(spec["schedule"], list):
+                raise ConfigError(f"config key `{key}.schedule` must be a list of segments")
+            segments = []
+            for i, seg in enumerate(spec["schedule"]):
+                where = f"{key}.schedule[{i}]"
+                _object(seg, where)
+                segments.append((_scalar(seg, where + ".cycles", int),
+                                 build_model(seg.get("model"), where + ".model", False)))
+            return NonstationarySchedule(tuple(segments))
+        rates = _numbers(spec, key + ".rates")
         if kind == "weights":
-            return HyperExpDist(np.asarray(spec["weights"], dtype=float), rates)
-        return SmmppModel(rates, np.asarray(spec["transition"], dtype=float))
+            return HyperExpDist(_numbers(spec, key + ".weights"), rates)
+        return SmmppModel(rates, _numbers(spec, key + ".transition"))
     except KeyError as exc:
-        raise ConfigError(f"model spec is missing {exc}") from exc
+        raise ConfigError(f"model spec `{key}` is missing {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"bad model spec: {exc}") from exc
+        raise ConfigError(f"bad model spec `{key}`: {exc}") from exc
 
 
 def design_source(cfg: dict):
     """Model the strategies are designed from: the `design` section when
     present, otherwise a stationary `model`."""
     if "design" in cfg:
-        src = build_model(cfg["design"], allow_schedule=False)
-    else:
-        src = build_model(cfg.get("model", {}), allow_schedule=True)
-        if isinstance(src, NonstationarySchedule):
-            raise ConfigError(
-                "traffic model is a schedule; add a stationary `design` section "
-                "for strategy construction")
+        return build_model(cfg["design"], "design", allow_schedule=False)
+    src = build_model(cfg.get("model", {}), "model")
+    if isinstance(src, NonstationarySchedule):
+        raise ConfigError(
+            "traffic model is a schedule; add a stationary `design` section "
+            "for strategy construction")
     return src
 
 
@@ -140,46 +182,18 @@ def get_eta(args, cfg: dict) -> float:
     return values[0]
 
 
-def get_epsilon(args, cfg: dict) -> float:
-    if args.epsilon is not None:
-        return args.epsilon
-    return _scalar(_section(cfg, "strategy"), "strategy.epsilon", float, DEFAULT_EPSILON)
-
-
-def get_window(args, cfg: dict) -> int:
-    w = args.window
-    if w is None:
-        w = _scalar(_section(cfg, "eval"), "eval.window", int, 100)
-    if w < 1:
-        raise ConfigError("window must be >= 1")
-    return w
-
-
-def get_sim_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _scalar(_section(cfg, "eval"), "eval.seed", int, 0)
-
-
-def _sim_inputs(args, cfg: dict):
-    """Outage window, seed and trace of a simulation run."""
-    return get_window(args, cfg), get_sim_seed(args, cfg), get_trace(cfg, None)[0]
-
-
-def get_trace(cfg: dict, seed_override) -> tuple[IdleTrace, int | None]:
+def get_trace(cfg: dict, seed=None) -> tuple[IdleTrace, int | None]:
+    """The configured trace and its seed: `seed`, else `trace.generate.seed`."""
     spec = _section(cfg, "trace")
     if len([k for k in ("generate", "file") if k in spec]) != 1:
         raise ConfigError("trace section needs exactly one of `generate` or `file`")
     if "file" in spec:
-        return read_trace(spec["file"]), None
-    gen = _section(spec, "generate")
-    if "cycles" not in gen:
-        raise ConfigError("trace.generate needs `cycles`")
+        return read_trace(_scalar(spec, "trace.file", str)), None
+    gen = _section(spec, "trace.generate")
     cycles = _scalar(gen, "trace.generate.cycles", int)
-    seed = seed_override
     if seed is None:
         seed = _scalar(gen, "trace.generate.seed", int, 0)
-    model = build_model(cfg.get("model", {}), allow_schedule=True)
+    model = build_model(cfg.get("model", {}), "model")
     if isinstance(model, NonstationarySchedule):
         return generate_nonstationary(model, seed), seed
     if isinstance(model, HyperExpDist):
@@ -187,15 +201,51 @@ def get_trace(cfg: dict, seed_override) -> tuple[IdleTrace, int | None]:
     return generate(model, cycles, seed), seed
 
 
-def select_names(args, cfg: dict) -> list[str]:
-    raw = args.strategy or _scalar(_section(cfg, "strategy"), "strategy.name", str, "all")
-    names = list(PAPER_STRATEGIES) if raw == "all" else [s for s in raw.split(",") if s]
-    mode = getattr(args, "ptsi", None)
-    if mode:
-        names = [n for n in names if n in STRATEGIES and STRATEGIES[n][0] == mode]
+def select_names(args, cfg: dict, sweep_cfg: dict | None = None) -> list[str]:
+    """Strategies named by --strategy, else `sweep.strategies` (given `sweep_cfg`), else
+    `strategy.name`, else all paper strategies; no repeats, kept to the --ptsi mode."""
+    raw = args.strategy
+    if not raw and sweep_cfg is not None and "strategies" in sweep_cfg:
+        raw = sweep_cfg["strategies"]
+        if isinstance(raw, list) and all(isinstance(n, str) for n in raw):
+            raw = ",".join(raw)
+        elif not isinstance(raw, str):
+            raise ConfigError("config key `sweep.strategies` must be a list of strings or a "
+                              f"comma string, got {json.dumps(raw)}")
+    raw = raw or _scalar(_section(cfg, "strategy"), "strategy.name", str, "all")
+    names = list(dict.fromkeys(PAPER_STRATEGIES if raw == "all" else filter(None, raw.split(","))))
+    if args.ptsi:
+        # unknown names stay, so that build() reports them
+        names = [n for n in names if n not in STRATEGIES or STRATEGIES[n][0] == args.ptsi]
         if not names:
-            raise ConfigError(f"no selected strategy has PTSI mode {mode!r}")
+            raise ConfigError(f"no selected strategy has PTSI mode {args.ptsi!r}")
     return names
+
+
+def _runs(args, cfg: dict, etas: list[float], seed: int | None = None,
+          spawn: bool = False, single: bool = False):
+    """Yield (name, eta, strategy, prediction, SimResult or None) per selected
+    strategy and eta, eta-major; the run over the configured trace is skipped
+    when `seed` is None. A generator, so one SimResult is alive at a time.
+    With `spawn` strategy k runs on child k of SeedSequence(seed), as in
+    simulate.compare, else on `seed`; `single` allows one strategy only."""
+    epsilon = _setting(args, cfg, "epsilon")
+    source = design_source(cfg)
+    names = select_names(args, cfg)
+    if single and len(names) != 1:
+        raise ConfigError("eval runs a single strategy; use compare for several")
+    if seed is not None:
+        window = _setting(args, cfg, "window")
+        trace = get_trace(cfg)[0]
+        seeds = np.random.SeedSequence(seed).spawn(len(names)) if spawn else [seed] * len(names)
+    for eta in etas:
+        for k, name in enumerate(names):
+            strategy = build(name, source, eta, epsilon)
+            res = None
+            if seed is not None:
+                res = run_strategy(trace, strategy, source=source, seed=seeds[k],
+                                   window=window, eta=eta)
+            yield name, eta, strategy, predict(strategy, source), res
 
 
 def header_lines(cfg: dict | None, seed=None, extra: dict | None = None) -> list[str]:
@@ -210,9 +260,7 @@ def header_lines(cfg: dict | None, seed=None, extra: dict | None = None) -> list
 
 
 def write_report(out, comments: list[str], columns: list[str], rows: list[list]) -> None:
-    text_rows = [",".join(columns)]
-    for row in rows:
-        text_rows.append(",".join(_fmt(v) for v in row))
+    text_rows = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
     text = "\n".join(comments + text_rows) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -243,22 +291,18 @@ def cmd_fit(args) -> int:
     comments = header_lines(None, extra={
         "command": "fit", "trace": args.trace, "components": args.components,
     })
-    if args.group_size:
+    if args.group_size is not None:
         wf = windowed_fit(samples, args.group_size, args.components)
         columns = ["group", "converged", "n_components"]
         for k in range(args.components):
             columns += [f"alpha_{k + 1}", f"lambda_{k + 1}"]
         rows = []
         for g, res in enumerate(wf.results):
-            if res is None:
-                rows.append([g, False, 0] + [""] * (2 * args.components))
-                continue
-            row = [g, res.converged, res.dist.n]
+            n = 0 if res is None else res.dist.n
+            row = [g, res is not None and res.converged, n]
             for k in range(args.components):
-                if k < res.dist.n:
-                    row += [float(res.dist.weights[k]), float(res.dist.rates[k])]
-                else:
-                    row += ["", ""]
+                row += ([float(res.dist.weights[k]), float(res.dist.rates[k])]
+                        if k < n else ["", ""])
             rows.append(row)
         summary = wf.dispersion()
         comments.append(f"# group_size: {wf.group_size}")
@@ -295,52 +339,35 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _eval_setup(args, cfg):
-    eta = get_eta(args, cfg)
-    epsilon = get_epsilon(args, cfg)
-    window, sim_seed, trace = _sim_inputs(args, cfg)
-    source = design_source(cfg)
-    return eta, epsilon, window, sim_seed, trace, source
-
-
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    eta, epsilon, window, sim_seed, trace, source = _eval_setup(args, cfg)
-    names = select_names(args, cfg)
-    if len(names) != 1:
-        raise ConfigError("eval runs a single strategy; use compare for several")
-    name = names[0]
-    strategy = build(name, source, eta, epsilon)
-    res = run_strategy(trace, strategy, source=source, seed=sim_seed, window=window, eta=eta)
-    pred = predict(strategy, source)
-    comments = header_lines(cfg, sim_seed, extra={"command": "eval"})
+    eta = get_eta(args, cfg)
+    seed = _setting(args, cfg, "seed")
+    name, eta, strategy, pred, res = next(_runs(args, cfg, [eta], seed, single=True))
+    comments = header_lines(cfg, seed, extra={"command": "eval"})
     columns = ["strategy", "mode", "eta", "cycles", "capacity", "collision",
                "outage", "predicted_capacity", "predicted_collision"]
     rows = [[name, strategy.mode, eta, res.n_cycles, res.capacity,
              res.collision_prob, res.outage_prob, pred.capacity, pred.collision]]
     write_report(args.out, comments, columns, rows)
     if args.windows:
-        wrows = [[i, int(c), c / window] for i, c in enumerate(res.window_collisions)]
-        write_report(args.windows, comments + [f"# window_size: {window}"],
+        wrows = [[i, int(c), c / res.window] for i, c in enumerate(res.window_collisions)]
+        write_report(args.windows, comments + [f"# window_size: {res.window}"],
                      ["window", "collided", "collision_rate"], wrows)
     return 0
 
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    eta, epsilon, window, sim_seed, trace, source = _eval_setup(args, cfg)
-    names = select_names(args, cfg)
-    strategies = {n: build(n, source, eta, epsilon) for n in names}
-    rows_out = []
-    for row in compare_strategies(strategies, trace, eta, seed=sim_seed,
-                                  source=source, window=window):
-        pred = predict(strategies[row.name], source)
-        rows_out.append([row.name, eta, row.capacity, row.collision_prob,
-                         row.outage_prob, pred.capacity, pred.collision])
-    comments = header_lines(cfg, sim_seed, extra={"command": "compare"})
+    eta = get_eta(args, cfg)
+    seed = _setting(args, cfg, "seed")
+    rows = [[name, eta, res.capacity, res.collision_prob, res.outage_prob,
+             pred.capacity, pred.collision]
+            for name, eta, _, pred, res in _runs(args, cfg, [eta], seed, spawn=True)]
+    comments = header_lines(cfg, seed, extra={"command": "compare"})
     columns = ["strategy", "eta", "capacity", "collision", "outage",
                "predicted_capacity", "predicted_collision"]
-    write_report(args.out, comments, columns, rows_out)
+    write_report(args.out, comments, columns, rows)
     return 0
 
 
@@ -350,27 +377,15 @@ def cmd_sweep(args) -> int:
     if "true_weights" in sweep_cfg:
         return _robustness_sweep(args, cfg, sweep_cfg)
     etas = get_etas(args, sweep_cfg.get("etas"), "sweep.etas")
-    epsilon = get_epsilon(args, cfg)
-    source = design_source(cfg)
-    names = select_names(args, cfg)
-    simulate = bool(args.simulate or sweep_cfg.get("simulate", False))
     columns = ["strategy", "eta", "predicted_capacity", "predicted_collision"]
-    trace = sim_seed = window = None
-    if simulate:
-        window, sim_seed, trace = _sim_inputs(args, cfg)
+    seed = None
+    if args.simulate or _scalar(sweep_cfg, "sweep.simulate", bool, False):
+        seed = _setting(args, cfg, "seed")
         columns += ["capacity", "collision", "outage"]
-    rows = []
-    for eta in etas:
-        for name in names:
-            strategy = build(name, source, eta, epsilon)
-            pred = predict(strategy, source)
-            row = [name, eta, pred.capacity, pred.collision]
-            if simulate:
-                res = run_strategy(trace, strategy, source=source,
-                                   seed=sim_seed, window=window, eta=eta)
-                row += [res.capacity, res.collision_prob, res.outage_prob]
-            rows.append(row)
-    comments = header_lines(cfg, sim_seed, extra={"command": "sweep"})
+    rows = [[name, eta, pred.capacity, pred.collision]
+            + ([] if res is None else [res.capacity, res.collision_prob, res.outage_prob])
+            for name, eta, _, pred, res in _runs(args, cfg, etas, seed)]
+    comments = header_lines(cfg, seed, extra={"command": "sweep"})
     write_report(args.out, comments, columns, rows)
     return 0
 
@@ -379,35 +394,29 @@ def _robustness_sweep(args, cfg: dict, sweep_cfg: dict) -> int:
     """Fixed design, drifting truth: measured collision per true weight
     vector for the selected strategies."""
     eta = get_eta(args, cfg)
-    epsilon = get_epsilon(args, cfg)
-    window = get_window(args, cfg)
+    epsilon = _setting(args, cfg, "epsilon")
+    window = _setting(args, cfg, "window")
     source = design_source(cfg)
     cycles = _scalar(sweep_cfg, "sweep.cycles", int, 100_000)
-    sim_seed = get_sim_seed(args, cfg)
-    true_weights = sweep_cfg["true_weights"]
-    if not isinstance(true_weights, list) or not true_weights:
+    seed = _setting(args, cfg, "seed")
+    true_weights = _numbers(sweep_cfg, "sweep.true_weights")
+    if true_weights.ndim != 2 or not true_weights.size:
         raise ConfigError("sweep.true_weights must be a non-empty list of weight vectors")
-    names = select_names(args, cfg)
-    if args.strategy is None and "strategies" in sweep_cfg:
-        names = list(sweep_cfg["strategies"])
+    names = select_names(args, cfg, sweep_cfg)
     strategies = {n: build(n, source, eta, epsilon) for n in names}
-    for n in names:
-        if strategies[n].mode != STAT:
-            raise ConfigError("robustness sweeps support statistical-PTSI strategies only")
+    if any(s.mode != STAT for s in strategies.values()):
+        raise ConfigError("robustness sweeps support statistical-PTSI strategies only")
     rows = []
     for k, weights in enumerate(true_weights):
-        true_dist = HyperExpDist(np.asarray(weights, dtype=float), source.rates)
-        true_model = SmmppModel.from_mixture(true_dist)
-        trace = generate(true_model, cycles, seed=sim_seed + k)
+        true_model = SmmppModel.from_mixture(HyperExpDist(weights, source.rates))
+        trace = generate(true_model, cycles, seed=seed + k)
         for name in names:
-            res = run_strategy(trace, strategies[name], seed=sim_seed,
-                               window=window, eta=eta)
+            res = run_strategy(trace, strategies[name], seed=seed, window=window, eta=eta)
             rows.append([name, eta] + [float(w) for w in weights]
                         + [res.capacity, res.collision_prob, res.outage_prob])
-    n_weights = len(true_weights[0])
-    columns = (["strategy", "eta"] + [f"true_alpha_{i + 1}" for i in range(n_weights)]
-               + ["capacity", "collision", "outage"])
-    comments = header_lines(cfg, sim_seed, extra={"command": "sweep-robustness"})
+    columns = ["strategy", "eta", *(f"true_alpha_{i + 1}" for i in range(true_weights.shape[1])),
+               "capacity", "collision", "outage"]
+    comments = header_lines(cfg, seed, extra={"command": "sweep-robustness"})
     write_report(args.out, comments, columns, rows)
     return 0
 
@@ -419,47 +428,47 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eta_list=False):
-        p.add_argument("--config", help="experiment config (JSON)")
-        p.add_argument("--seed", type=int, help="override config seeds")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--eta", help="collision budget" + (" (comma list)" if eta_list else ""))
+        p.set_defaults(func=func)
+        return p
+
+    def experiment(name, func, help_text, eta_help="collision budget"):
+        p = command(name, func, help_text)
+        p.add_argument("--config", help="experiment config (JSON)")
+        p.add_argument("--seed", type=int, help="simulation seed, overrides eval.seed "
+                       "(a robustness sweep also seeds its traces from it)")
+        p.add_argument("--eta", help=eta_help)
         p.add_argument("--epsilon", type=float, help="multiple-shot confidence parameter")
         p.add_argument("--window", type=int, help="outage window size in cycles")
         p.add_argument("--ptsi", choices=["stat", "markov", "full"],
                        help="restrict strategies to one PTSI mode")
         p.add_argument("--strategy", help="strategy name, comma list, or `all`")
+        return p
 
-    p = sub.add_parser("generate", help="write a synthetic idle trace")
-    common(p)
-    p.set_defaults(func=cmd_generate)
+    p = command("generate", cmd_generate, "write a synthetic idle trace")
+    p.add_argument("--config", help="experiment config (JSON)")
+    p.add_argument("--seed", type=int, help="trace seed, overrides trace.generate.seed")
 
-    p = sub.add_parser("fit", help="fit a mixture to a trace (optionally windowed)")
+    p = command("fit", cmd_fit, "fit a mixture to a trace (optionally windowed)")
     p.add_argument("trace", help="trace file")
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--group-size", type=int)
-    common(p)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("diagnose", help="CCDF tail diagnostics of a trace")
+    p = command("diagnose", cmd_diagnose, "CCDF tail diagnostics of a trace")
     p.add_argument("trace", help="trace file")
-    common(p)
-    p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("eval", help="run one strategy over a trace")
-    common(p)
+    p = experiment("eval", cmd_eval, "run one strategy over a trace")
     p.add_argument("--windows", help="also write the per-window collision series here")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="capacity/collision tables over eta or drifting weights")
-    common(p, eta_list=True)
+    p = experiment("sweep", cmd_sweep, "capacity/collision tables over eta or drifting weights",
+                   eta_help="collision budget, or a comma list of them (a robustness "
+                            "sweep takes one)")
     p.add_argument("--simulate", action="store_true",
                    help="add measured columns from a simulation run")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", help="run several strategies over one trace")
-    common(p)
-    p.set_defaults(func=cmd_compare)
+    experiment("compare", cmd_compare, "run several strategies over one trace")
     return parser
 
 

@@ -65,8 +65,7 @@ def default_init(samples: np.ndarray, n_components: int) -> HyperExpDist:
     return HyperExpDist(np.full(n_components, 1.0 / n_components), rates)
 
 
-def em_fit(samples, n_components: int, init: HyperExpDist | None = None,
-           tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> FitResult:
+def em_fit(samples, n_components: int, init: HyperExpDist | None = None) -> FitResult:
     """Maximum-likelihood mixture fit via EM.
 
     E-step responsibilities are computed in log space so widely separated
@@ -89,7 +88,7 @@ def em_fit(samples, n_components: int, init: HyperExpDist | None = None,
     converged = False
     ll_prev = None
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, EM_MAX_ITER + 1):
         # E-step in log space: log w_k + log lam_k - lam_k x_i
         logterm = np.log(w) + np.log(lam) - np.multiply.outer(x, lam)
         m = logterm.max(axis=1, keepdims=True)
@@ -109,7 +108,7 @@ def em_fit(samples, n_components: int, init: HyperExpDist | None = None,
                 raise DataError("all mixture components collapsed")
         w = mass / x.size
         lam = mass / (resp * x[:, None]).sum(axis=0)
-        if ll_prev is not None and abs(ll - ll_prev) <= tol * max(1.0, abs(ll_prev)):
+        if ll_prev is not None and abs(ll - ll_prev) <= EM_TOL * max(1.0, abs(ll_prev)):
             converged = True
             break
         ll_prev = ll
@@ -184,9 +183,7 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray):
     return slope, ssr, r2
 
 
-def tail_diagnostics(samples, knee_candidates: int = KNEE_CANDIDATES,
-                     grid_points: int = SEGMENT_GRID_POINTS,
-                     tail_exclude: float = TAIL_EXCLUDE) -> TailDiagnostics:
+def tail_diagnostics(samples) -> TailDiagnostics:
     """Locate the CCDF knee and the decay laws on either side of it.
 
     The empirical CCDF (complementary step function of the sorted samples)
@@ -194,14 +191,14 @@ def tail_diagnostics(samples, knee_candidates: int = KNEE_CANDIDATES,
     linear above it, which keeps the tail regression from being swamped by
     the dense small-duration samples. The knee minimizing the combined
     squared residuals over a log-spaced candidate grid wins. The top
-    ``tail_exclude`` fraction of samples is excluded to limit single-sample
+    TAIL_EXCLUDE fraction of samples is excluded to limit single-sample
     leverage.
     """
     x = _validate_samples(samples, 1000)
     x = np.sort(x)
     n = x.size
-    t_lo = float(np.quantile(x, tail_exclude))
-    t_hi = float(np.quantile(x, 1.0 - tail_exclude))
+    t_lo = float(np.quantile(x, TAIL_EXCLUDE))
+    t_hi = float(np.quantile(x, 1.0 - TAIL_EXCLUDE))
     if not t_hi > t_lo > 0:
         raise DataError("sample range too degenerate for tail diagnostics")
 
@@ -209,8 +206,8 @@ def tail_diagnostics(samples, knee_candidates: int = KNEE_CANDIDATES,
         return (n - np.searchsorted(x, ts, side="right")) / n
 
     def split_fit(knee: float):
-        left_t = np.geomspace(t_lo, knee, grid_points)
-        right_t = np.linspace(knee, t_hi, grid_points)
+        left_t = np.geomspace(t_lo, knee, SEGMENT_GRID_POINTS)
+        right_t = np.linspace(knee, t_hi, SEGMENT_GRID_POINTS)
         left_y = emp_ccdf(left_t)
         right_y = emp_ccdf(right_t)
         if not ((left_y > 0).all() and (right_y > 0).all()):
@@ -219,7 +216,7 @@ def tail_diagnostics(samples, knee_candidates: int = KNEE_CANDIDATES,
         rs, rssr, rr2 = _line_fit(right_t, np.log(right_y))
         return lssr + rssr, ls, lr2, rs, rr2
 
-    candidates = np.geomspace(t_lo, t_hi, knee_candidates + 2)[1:-1]
+    candidates = np.geomspace(t_lo, t_hi, KNEE_CANDIDATES + 2)[1:-1]
     best = None
     for idx, knee in enumerate(candidates):
         fit = split_fit(knee)
@@ -230,7 +227,7 @@ def tail_diagnostics(samples, knee_candidates: int = KNEE_CANDIDATES,
     idx, (total, ls, lr2, rs, rr2), knee = best
     # no power-law regime at all: one exponential line explains the whole
     # range as well as the best split, so the knee collapses leftward
-    global_t = np.linspace(t_lo, t_hi, grid_points)
+    global_t = np.linspace(t_lo, t_hi, SEGMENT_GRID_POINTS)
     _, global_ssr, _ = _line_fit(global_t, np.log(np.maximum(emp_ccdf(global_t), 1.0 / n)))
     degenerate = global_ssr <= 1.10 * total + 1e-12
     if degenerate:
@@ -276,8 +273,7 @@ class WindowedFit:
         return out
 
 
-def windowed_fit(samples, group_size: int, n_components: int,
-                 **em_kwargs) -> WindowedFit:
+def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
     """Fit each sequential group of ``group_size`` samples separately.
 
     Returns results in group order; a group whose fit raises is recorded as
@@ -294,7 +290,7 @@ def windowed_fit(samples, group_size: int, n_components: int,
     for g in range(n_groups):
         chunk = x[g * group_size:(g + 1) * group_size]
         try:
-            results.append(em_fit(chunk, n_components, **em_kwargs))
+            results.append(em_fit(chunk, n_components))
         except DataError:
             results.append(None)
             failed.append(g)

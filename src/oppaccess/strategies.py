@@ -27,34 +27,35 @@ from .smmpp import SmmppModel
 TAU_BRACKET_FACTOR = 50.0
 DEFAULT_EPSILON = 1e-3
 RESIDUAL_TOL = 1e-12
+SOLVE_MAX_ITER = 250
 COLLISION_TOL = 1e-11
 
 STAT, MARKOV, FULL = "stat", "markov", "full"
 _MODES = (STAT, MARKOV, FULL)
 
 
-def solve_root(f, target: float, lo: float, hi: float,
-               tol_res: float = RESIDUAL_TOL, max_iter: int = 250) -> float:
+def solve_root(f, target: float, lo: float, hi: float) -> float:
     """Bisection for monotone f: find x in [lo, hi] with f(x) = target.
 
-    Stops on residual <= tol_res; keeps halving down to float resolution if
-    the residual is still large, and reports failure when even that cannot
-    resolve the target (e.g. a target smaller than one ulp of f can move).
+    Stops on residual <= RESIDUAL_TOL; keeps halving, at most SOLVE_MAX_ITER
+    times, down to float resolution if the residual is still large, and
+    reports failure when even that cannot resolve the target (e.g. a target
+    smaller than one ulp of f can move).
     """
     if not hi > lo:
         raise SolverError(f"empty bracket [{lo!r}, {hi!r}]")
     flo, fhi = f(lo), f(hi)
     increasing = fhi >= flo
     a, b = (flo, fhi) if increasing else (fhi, flo)
-    if not a - tol_res <= target <= b + tol_res:
+    if not a - RESIDUAL_TOL <= target <= b + RESIDUAL_TOL:
         raise SolverError(
             f"target {target!r} outside f range [{a!r}, {b!r}] on bracket [{lo!r}, {hi!r}]")
     # a target tinier than the residual tolerance must be matched in
     # relative terms, otherwise any near-zero argument would pass
-    tol_eff = tol_res if target == 0 else min(tol_res, 0.5 * abs(target))
+    tol_eff = RESIDUAL_TOL if target == 0 else min(RESIDUAL_TOL, 0.5 * abs(target))
     x_lo, x_hi = lo, hi
     mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(SOLVE_MAX_ITER):
         mid = 0.5 * (x_lo + x_hi)
         fm = f(mid)
         if abs(fm - target) <= tol_eff:
@@ -361,8 +362,7 @@ def _logsumexp(v: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
-def markov_optimal(model: SmmppModel, eta: float,
-                   collision_tol: float = COLLISION_TOL) -> Strategy:
+def markov_optimal(model: SmmppModel, eta: float) -> Strategy:
     """Optimal allocation of the collision budget across time and previous
     states: one common value-to-cost threshold, realized per state as a
     tail policy (or full / no transmission when the state's ratio range
@@ -393,10 +393,10 @@ def markov_optimal(model: SmmppModel, eta: float,
     log_hi = max((r.log_phi0 for r in rows if not r.constant), default=0.0)
     log_hi = log_hi + 1.0 if math.isfinite(log_hi) else 1.0
     log_lo = -800.0
-    while total_collision(log_lo)[0] > eta + collision_tol and log_lo > -1e7:
+    while total_collision(log_lo)[0] > eta + COLLISION_TOL and log_lo > -1e7:
         log_lo *= 4.0
     c_lo, taus = total_collision(log_lo)
-    if abs(c_lo - eta) <= collision_tol:
+    if abs(c_lo - eta) <= COLLISION_TOL:
         return _episodes_from_taus(model, taus, "markov_optimal")
     if c_lo > eta:
         # threshold sits at the global ratio supremum: only the pure
@@ -404,12 +404,12 @@ def markov_optimal(model: SmmppModel, eta: float,
         for i, row in enumerate(rows):
             taus[i] = math.inf if row.constant else taus[i]
         at_jump = [i for i, row in enumerate(rows) if row.constant]
-        return _finish_with_atoms(model, rows, alpha, taus, eta, collision_tol, at_jump)
+        return _finish_with_atoms(model, rows, alpha, taus, eta, at_jump)
     lo, hi = log_lo, log_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         coll, taus = total_collision(mid)
-        if abs(coll - eta) <= collision_tol:
+        if abs(coll - eta) <= COLLISION_TOL:
             return _episodes_from_taus(model, taus, "markov_optimal")
         if coll < eta:
             lo = mid
@@ -418,16 +418,16 @@ def markov_optimal(model: SmmppModel, eta: float,
         if hi - lo <= max(abs(mid), 1.0) * 1e-14:
             break
     coll, taus = total_collision(lo)
-    if eta - coll > collision_tol:
+    if eta - coll > COLLISION_TOL:
         # the collision curve jumps inside (lo, hi]: a constant-ratio state
         # sits exactly at the threshold and absorbs the residual
         at_jump = [i for i, row in enumerate(rows)
                    if row.single_atom and lo < row.log_asym <= hi + 1e-12]
-        return _finish_with_atoms(model, rows, alpha, taus, eta, collision_tol, at_jump)
+        return _finish_with_atoms(model, rows, alpha, taus, eta, at_jump)
     return _episodes_from_taus(model, taus, "markov_optimal")
 
 
-def _finish_with_atoms(model, rows, alpha, taus, eta, collision_tol, at_jump):
+def _finish_with_atoms(model, rows, alpha, taus, eta, at_jump):
     """Close the budget gap left by a jump of the collision curve: spread
     the residual over the constant-ratio states at the jump level. Their
     value-to-cost is flat, so any schedule spending the same mass is
@@ -437,10 +437,10 @@ def _finish_with_atoms(model, rows, alpha, taus, eta, collision_tol, at_jump):
             taus[i] = math.inf
     coll = float(sum(a * row.ccdf(t) for a, row, t in zip(alpha, rows, taus)))
     residual = eta - coll
-    if residual < -collision_tol:
+    if residual < -COLLISION_TOL:
         raise SolverError("collision budget overshot while resolving a threshold tie")
     for i in at_jump:
-        if residual <= collision_tol:
+        if residual <= COLLISION_TOL:
             break
         row = rows[i]
         state_mass = float(alpha[i])
@@ -452,7 +452,7 @@ def _finish_with_atoms(model, rows, alpha, taus, eta, collision_tol, at_jump):
             rate = float(row.r.min())
             taus[i] = math.log(1.0 / share) / rate
         residual -= take
-    if residual > max(collision_tol, 1e-9):
+    if residual > max(COLLISION_TOL, 1e-9):
         raise SolverError(
             f"could not place residual collision mass {residual:g}; "
             "no state sits at the threshold level")

@@ -167,7 +167,8 @@ def _parse_lines(text: str, path) -> IdleTrace:
         if len(parts) == 2:
             try:
                 state = int(parts[1])
-            except ValueError as exc:
+                np.int64(state)  # fits the label array
+            except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: bad state index {parts[1]!r}") from exc
             if state < 1:
                 raise DataError(f"{path}:{lineno}: state indices are 1-based, got {state}")

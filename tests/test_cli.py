@@ -1,15 +1,19 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oppaccess.cli import main
+from oppaccess.cli import main, make_parser
 
 THREE_STATE = {
     "rates": [5.0, 100.0, 6000.0],
     "transition": [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
 }
+MIXTURE = {"rates": [100.0, 6000.0], "weights": [0.5, 0.5]}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -308,6 +312,36 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                                 "cycles": [1000]}}, name="bad_sweep.json")
     assert main(["sweep", "--config", bad_cfg]) == 2
     assert "`sweep.cycles`" in capsys.readouterr().err
+    # number arrays, schedules, trace files and sweep options of the wrong
+    # JSON type exit 2 with a message naming the key
+    schedule_cfg = {**eval_cfg, "design": MIXTURE}
+    robust_cfg = {"model": THREE_STATE, "strategy": {"eta": 0.1},
+                  "sweep": {"true_weights": [[0.2, 0.3, 0.5]], "cycles": 100}}
+    design_sweep = {"model": THREE_STATE, "trace": eval_cfg["trace"], "sweep": {"etas": 0.1}}
+    for command, key, cfg in (
+            *[("eval", f"model.{field}", {**eval_cfg, "model": {**THREE_STATE, field: value}})
+              for field in ("rates", "transition") for value in ({}, [[{}]])],
+            *[("eval", f"{section}.{field}", {**eval_cfg, section: {**MIXTURE, field: value}})
+              for section in ("model", "design") for field in ("rates", "weights")
+              for value in ({}, [[{}]], [True, False])],
+            *[("eval", key, {**schedule_cfg, "model": {"schedule": schedule}})
+              for key, schedule in (
+                  ("model.schedule", 3),
+                  ("model.schedule[0]", [3]),
+                  *[("model.schedule[0].cycles", [{"cycles": cycles, "model": MIXTURE}])
+                    for cycles in (None, 2.7, True, "7")])],
+            ("eval", "trace.file", {**eval_cfg, "trace": {"file": 3}}),
+            *[("sweep", "sweep.true_weights",
+               {**robust_cfg, "sweep": {**robust_cfg["sweep"], "true_weights": weights}})
+              for weights in ([{}], [[True, False, False]], [[0.5, 0.5], [0.2, 0.3, 0.5]])],
+            *[("sweep", "sweep.strategies",
+               {**robust_cfg, "sweep": {**robust_cfg["sweep"], "strategies": strategies}})
+              for strategies in (3, {"stat_optimal": 1}, ["stat_optimal", 3])],
+            ("sweep", "sweep.simulate",
+             {**design_sweep, "sweep": {"etas": 0.1, "simulate": "false"}})):
+        bad_cfg = write_config(tmp_path, cfg, name="bad_typed.json")
+        assert main([command, "--config", bad_cfg]) == 2, (key, cfg)
+        assert f"`{key}`" in capsys.readouterr().err, (key, cfg)
 
 
 def test_eta_accepts_number_comma_string_and_list(tmp_path):
@@ -351,3 +385,130 @@ def test_round_trip_generate_then_fit(tmp_path):
     assert float(fields["lambda_1"]) == pytest.approx(160.0, rel=0.10)
     assert float(fields["lambda_2"]) == pytest.approx(3670.0, rel=0.10)
     assert float(fields["alpha_1"]) == pytest.approx(0.32, abs=0.05)
+
+
+def test_robustness_sweep_strategy_list(tmp_path):
+    cfg = {"model": {"rates": [100.0, 6000.0], "weights": [0.5, 0.5]},
+           "strategy": {"eta": 0.1},
+           "sweep": {"true_weights": [[0.5, 0.5]], "cycles": 1000}}
+
+    def names(strategies, *flags):
+        report = tmp_path / "robust.csv"
+        sweep = {**cfg["sweep"], "strategies": strategies}
+        config = write_config(tmp_path, {**cfg, "sweep": sweep})
+        code = main(["sweep", "--config", config, "--out", str(report), *flags])
+        return [r["strategy"] for r in read_table(report)[1]] if code == 0 else code
+
+    assert names("stat_optimal,multiple_shot") == ["stat_optimal", "multiple_shot"]
+    assert names(["multiple_shot"]) == ["multiple_shot"]
+    # --ptsi filters sweep.strategies like every other strategy list
+    assert names(["stat_optimal", "markov_optimal"], "--ptsi", "stat") == ["stat_optimal"]
+    assert names(["stat_optimal"], "--ptsi", "markov") == 2
+    assert names(["stat_optimal"], "--strategy", "multiple_shot") == ["multiple_shot"]
+
+
+def test_fit_group_size_zero_is_refused(tmp_path, capsys):
+    trace = tmp_path / "short.trace"
+    trace.write_text("\n".join(["0.01", "0.02"] * 50) + "\n")
+    assert main(["fit", str(trace), "--group-size", "0"]) == 3
+    assert "group_size must be >= 20" in capsys.readouterr().err
+
+
+EXPERIMENT_FLAGS = {"--out", "--config", "--seed", "--eta", "--epsilon", "--window",
+                    "--ptsi", "--strategy"}
+COMMAND_FLAGS = {
+    "generate": {"--out", "--config", "--seed"},
+    "fit": {"--out", "--components", "--group-size"},
+    "diagnose": {"--out"},
+    "eval": EXPERIMENT_FLAGS | {"--windows"},
+    "compare": EXPERIMENT_FLAGS,
+    "sweep": EXPERIMENT_FLAGS | {"--simulate"},
+}
+UNREAD_FLAGS = {
+    "generate": ("--eta", "--epsilon", "--window", "--ptsi", "--strategy"),
+    "fit": ("--config", "--seed", "--eta", "--epsilon", "--window", "--ptsi", "--strategy"),
+    "diagnose": ("--config", "--seed", "--eta", "--epsilon", "--window", "--ptsi",
+                 "--strategy"),
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    commands = make_parser()._subparsers._group_actions[0].choices
+    assert set(commands) == set(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
+
+
+# a value each flag would accept where it is read
+FLAG_VALUES = {"--config": "cfg.json", "--seed": "3", "--eta": "0.1", "--epsilon": "0.01",
+               "--window": "10", "--ptsi": "stat", "--strategy": "all"}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in UNREAD_FLAGS.items()
+                                          for f in flags])
+def test_unread_flags_are_refused(command, flag, tmp_path, capsys):
+    args = {"generate": ["--config", "cfg.json"]}.get(command, [str(tmp_path / "x.trace")])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# Fuzzed configs: one key of a working config (or an element of one of its
+# lists, or the whole config) is replaced by a value of the wrong shape.
+# Cycle counts stay at most 200, so no draw can ask for a large trace.
+FUZZ_TRACE = {"generate": {"cycles": 200, "seed": 1}}
+FUZZ_STRATEGY = {"name": "stat_optimal", "eta": 0.1, "epsilon": 0.001}
+FUZZ_EVAL = {"window": 50, "seed": 0}
+FUZZ_BASES = (
+    ("generate", {"model": THREE_STATE, "trace": FUZZ_TRACE}),
+    ("generate", {"model": {"schedule": [{"cycles": 100, "model": MIXTURE},
+                                         {"cycles": 100, "model": THREE_STATE}]},
+                  "trace": FUZZ_TRACE}),
+    ("eval", {"model": THREE_STATE, "trace": FUZZ_TRACE, "strategy": FUZZ_STRATEGY,
+              "eval": FUZZ_EVAL}),
+    ("eval", {"model": {"schedule": [{"cycles": 100, "model": MIXTURE}]}, "design": MIXTURE,
+              "trace": FUZZ_TRACE, "strategy": {**FUZZ_STRATEGY, "name": "multiple_shot"},
+              "eval": FUZZ_EVAL}),
+    ("compare", {"model": THREE_STATE, "trace": FUZZ_TRACE, "eval": FUZZ_EVAL,
+                 "strategy": {**FUZZ_STRATEGY,
+                              "name": "multiple_shot,markov_os_balanced,full_optimal"}}),
+    ("sweep", {"model": THREE_STATE, "trace": FUZZ_TRACE, "eval": FUZZ_EVAL,
+               "strategy": {**FUZZ_STRATEGY, "name": "stat_one_shot,markov_optimal"},
+               "sweep": {"etas": [0.05, 0.1], "simulate": True}}),
+    ("sweep", {"design": MIXTURE, "strategy": {"eta": 0.1, "epsilon": 0.001},
+               "eval": FUZZ_EVAL,
+               "sweep": {"true_weights": [[0.5, 0.5], [0.9, 0.1]], "cycles": 200,
+                         "strategies": ["stat_optimal", "multiple_shot"]}}),
+)
+FUZZ_VALUES = (None, True, "x", "7", [], {}, [{}], 1.5, -1, 0)
+
+
+def _key_paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _key_paths(child, prefix + (key,))
+
+
+FUZZ_CASES = [(command, cfg, path) for command, cfg in FUZZ_BASES
+              for path in _key_paths(cfg)]
+
+
+@settings(max_examples=50)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_config_never_escapes(case, value, tmp_path_factory):
+    command, cfg, path = case
+    if path:
+        cfg = copy.deepcopy(cfg)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        cfg = value
+    workdir = tmp_path_factory.mktemp("fuzz")
+    config = write_config(workdir, cfg)
+    assert main([command, "--config", config, "--out", str(workdir / "out")]) in (0, 2, 3, 4)

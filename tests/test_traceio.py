@@ -69,6 +69,8 @@ def test_read_errors_name_the_line(tmp_path):
                           ("1e400\n", ":1: durations must be positive, got inf"),
                           ("0\n", ":1: durations must be positive, got 0.0"),
                           ("0.1,1\n1.5,0\n", ":2: state indices are 1-based, got 0"),
+                          ("0.1,99999999999999999999\n",
+                           ":1: bad state index '99999999999999999999'"),
                           ("0.1\n0.2\n# segment: cycle=1\n# segment: cycle=1\n0.3\n",
                            "boundaries must be sorted")):
         bad.write_text(text)
