@@ -183,22 +183,25 @@ def get_eta(args, cfg: dict) -> float:
 
 
 def get_trace(cfg: dict, seed=None) -> tuple[IdleTrace, int | None]:
-    """The configured trace and its seed: `seed`, else `trace.generate.seed`."""
+    """The configured trace and its seed: `seed`, else `trace.generate.seed`.
+    A stationary model plays for `trace.generate.cycles`; a schedule sets
+    the length itself, which that key must then equal if given."""
     spec = _section(cfg, "trace")
     if len([k for k in ("generate", "file") if k in spec]) != 1:
         raise ConfigError("trace section needs exactly one of `generate` or `file`")
     if "file" in spec:
         return read_trace(_scalar(spec, "trace.file", str)), None
     gen = _section(spec, "trace.generate")
-    cycles = _scalar(gen, "trace.generate.cycles", int)
     if seed is None:
         seed = _scalar(gen, "trace.generate.seed", int, 0)
     model = build_model(cfg.get("model", {}), "model")
-    if isinstance(model, NonstationarySchedule):
-        return generate_nonstationary(model, seed), seed
-    if isinstance(model, HyperExpDist):
-        model = SmmppModel.from_mixture(model)
-    return generate(model, cycles, seed), seed
+    key = "trace.generate.cycles"
+    if not isinstance(model, NonstationarySchedule):
+        model = NonstationarySchedule(((_scalar(gen, key, int), model),))
+    total = sum(count for count, _ in model.segments)
+    if _scalar(gen, key, int, total) != total:
+        raise ConfigError(f"config key `{key}` must equal the schedule's {total} cycles")
+    return generate_nonstationary(model, seed), seed
 
 
 def select_names(args, cfg: dict, sweep_cfg: dict | None = None) -> list[str]:
@@ -222,18 +225,15 @@ def select_names(args, cfg: dict, sweep_cfg: dict | None = None) -> list[str]:
     return names
 
 
-def _runs(args, cfg: dict, etas: list[float], seed: int | None = None,
-          spawn: bool = False, single: bool = False):
-    """Yield (name, eta, strategy, prediction, SimResult or None) per selected
-    strategy and eta, eta-major; the run over the configured trace is skipped
-    when `seed` is None. A generator, so one SimResult is alive at a time.
-    With `spawn` strategy k runs on child k of SeedSequence(seed), as in
-    simulate.compare, else on `seed`; `single` allows one strategy only."""
+def _runs(args, cfg: dict, etas: list[float], names: list[str], seed: int | None = None,
+          spawn: bool = False):
+    """Yield (name, eta, strategy, prediction, SimResult or None) per strategy
+    in `names` and eta, eta-major; the run over the configured trace is
+    skipped when `seed` is None. A generator, so one SimResult is alive at a
+    time. With `spawn` strategy k runs on child k of SeedSequence(seed), as
+    in simulate.compare, else on `seed`."""
     epsilon = _setting(args, cfg, "epsilon")
     source = design_source(cfg)
-    names = select_names(args, cfg)
-    if single and len(names) != 1:
-        raise ConfigError("eval runs a single strategy; use compare for several")
     if seed is not None:
         window = _setting(args, cfg, "window")
         trace = get_trace(cfg)[0]
@@ -343,7 +343,10 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     eta = get_eta(args, cfg)
     seed = _setting(args, cfg, "seed")
-    name, eta, strategy, pred, res = next(_runs(args, cfg, [eta], seed, single=True))
+    names = select_names(args, cfg)
+    if len(names) != 1:
+        raise ConfigError("eval runs a single strategy; use compare for several")
+    name, eta, strategy, pred, res = next(_runs(args, cfg, [eta], names, seed))
     comments = header_lines(cfg, seed, extra={"command": "eval"})
     columns = ["strategy", "mode", "eta", "cycles", "capacity", "collision",
                "outage", "predicted_capacity", "predicted_collision"]
@@ -363,7 +366,8 @@ def cmd_compare(args) -> int:
     seed = _setting(args, cfg, "seed")
     rows = [[name, eta, res.capacity, res.collision_prob, res.outage_prob,
              pred.capacity, pred.collision]
-            for name, eta, _, pred, res in _runs(args, cfg, [eta], seed, spawn=True)]
+            for name, eta, _, pred, res in _runs(args, cfg, [eta], select_names(args, cfg),
+                                                 seed, spawn=True)]
     comments = header_lines(cfg, seed, extra={"command": "compare"})
     columns = ["strategy", "eta", "capacity", "collision", "outage",
                "predicted_capacity", "predicted_collision"]
@@ -382,9 +386,12 @@ def cmd_sweep(args) -> int:
     if args.simulate or _scalar(sweep_cfg, "sweep.simulate", bool, False):
         seed = _setting(args, cfg, "seed")
         columns += ["capacity", "collision", "outage"]
+    elif args.seed is not None or args.window is not None:
+        raise ConfigError("--seed and --window need --simulate or sweep.simulate")
+    names = select_names(args, cfg, sweep_cfg)
     rows = [[name, eta, pred.capacity, pred.collision]
             + ([] if res is None else [res.capacity, res.collision_prob, res.outage_prob])
-            for name, eta, _, pred, res in _runs(args, cfg, etas, seed)]
+            for name, eta, _, pred, res in _runs(args, cfg, etas, names, seed)]
     comments = header_lines(cfg, seed, extra={"command": "sweep"})
     write_report(args.out, comments, columns, rows)
     return 0
@@ -408,8 +415,7 @@ def _robustness_sweep(args, cfg: dict, sweep_cfg: dict) -> int:
         raise ConfigError("robustness sweeps support statistical-PTSI strategies only")
     rows = []
     for k, weights in enumerate(true_weights):
-        true_model = SmmppModel.from_mixture(HyperExpDist(weights, source.rates))
-        trace = generate(true_model, cycles, seed=seed + k)
+        trace = generate(HyperExpDist(weights, source.rates), cycles, seed=seed + k)
         for name in names:
             res = run_strategy(trace, strategies[name], seed=seed, window=window, eta=eta)
             rows.append([name, eta] + [float(w) for w in weights]

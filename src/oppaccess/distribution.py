@@ -66,22 +66,21 @@ class HyperExpDist:
     def n(self) -> int:
         return self.rates.size
 
-    def pdf(self, t):
-        """Density sum(w_i * lam_i * exp(-lam_i t)); strictly positive."""
-        t = _as_time_array(t)
-        out = np.exp(-np.multiply.outer(t, self.rates)) @ (self.weights * self.rates)
+    def _decay(self, t, coef: np.ndarray):
+        """sum(coef_i * exp(-lam_i t)) at nonnegative times t."""
+        out = np.exp(-np.multiply.outer(_as_time_array(t), self.rates)) @ coef
         return out if out.ndim else float(out)
 
+    def pdf(self, t):
+        """Density sum(w_i * lam_i * exp(-lam_i t)); strictly positive."""
+        return self._decay(t, self.weights * self.rates)
+
     def cdf(self, t):
-        t = _as_time_array(t)
-        out = 1.0 - np.exp(-np.multiply.outer(t, self.rates)) @ self.weights
-        return out if out.ndim else float(out)
+        return 1.0 - self.ccdf(t)
 
     def ccdf(self, t):
         """Survival function sum(w_i * exp(-lam_i t))."""
-        t = _as_time_array(t)
-        out = np.exp(-np.multiply.outer(t, self.rates)) @ self.weights
-        return out if out.ndim else float(out)
+        return self._decay(t, self.weights)
 
     def value_to_cost(self, t):
         """Ratio ccdf(t)/pdf(t): expected access gained per unit collision risk.

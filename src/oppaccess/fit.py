@@ -147,14 +147,6 @@ def _merge_close_rates(w: np.ndarray, lam: np.ndarray):
     return w, lam, merged
 
 
-def log_likelihood(dist: HyperExpDist, samples) -> float:
-    """Total log-likelihood of samples under a fitted mixture."""
-    x = _validate_samples(samples, 1)
-    logterm = np.log(dist.weights) + np.log(dist.rates) - np.multiply.outer(x, dist.rates)
-    m = logterm.max(axis=1, keepdims=True)
-    return float(np.sum(m) + np.sum(np.log(np.exp(logterm - m).sum(axis=1, keepdims=True))))
-
-
 @dataclass(frozen=True)
 class TailDiagnostics:
     """Two-regime CCDF summary: power-law body, exponential tail.
@@ -217,26 +209,21 @@ def tail_diagnostics(samples) -> TailDiagnostics:
         return lssr + rssr, ls, lr2, rs, rr2
 
     candidates = np.geomspace(t_lo, t_hi, KNEE_CANDIDATES + 2)[1:-1]
-    best = None
-    for idx, knee in enumerate(candidates):
-        fit = split_fit(knee)
-        if fit is not None and (best is None or fit[0] < best[1][0]):
-            best = (idx, fit, knee)
-    if best is None:
+    fits = [split_fit(knee) for knee in candidates]
+    valid = [k for k, fit in enumerate(fits) if fit is not None]
+    if not valid:
         raise DataError("could not evaluate the empirical CCDF on any knee split")
-    idx, (total, ls, lr2, rs, rr2), knee = best
+    idx = min(valid, key=lambda k: fits[k][0])  # the first of equal minima
     # no power-law regime at all: one exponential line explains the whole
     # range as well as the best split, so the knee collapses leftward
     global_t = np.linspace(t_lo, t_hi, SEGMENT_GRID_POINTS)
     _, global_ssr, _ = _line_fit(global_t, np.log(np.maximum(emp_ccdf(global_t), 1.0 / n)))
-    degenerate = global_ssr <= 1.10 * total + 1e-12
-    if degenerate:
-        fit = split_fit(candidates[0])
-        if fit is not None:
-            knee, idx = candidates[0], 0
-            total, ls, lr2, rs, rr2 = fit
+    degenerate = global_ssr <= 1.10 * fits[idx][0] + 1e-12
+    if degenerate and fits[0] is not None:
+        idx = 0
+    _, ls, lr2, rs, rr2 = fits[idx]
     return TailDiagnostics(
-        knee=float(knee),
+        knee=float(candidates[idx]),
         pre_knee_slope=float(ls),
         post_knee_slope=float(rs),
         pre_knee_r2=float(lr2),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ModelError
-from .smmpp import IdleTrace, SmmppModel
+from .smmpp import IdleTrace, SmmppModel, _initial_state
 from .strategies import FULL, STAT, Strategy
 
 DEFAULT_WINDOW = 100
@@ -65,8 +65,7 @@ def _context_ids(trace: IdleTrace, strategy: Strategy, source, rng) -> tuple[np.
         return trace.states.astype(np.int64), None
     if not isinstance(source, SmmppModel):
         raise ModelError("markov mode needs the model to draw the initial conditioning state")
-    first = int(np.searchsorted(np.cumsum(source.steady), rng.random(), side="right"))
-    first = min(first, source.n - 1)
+    first = _initial_state(source, rng)
     ctx = np.empty(trace.n, dtype=np.int64)
     ctx[0] = first
     ctx[1:] = trace.states[:-1]
@@ -106,10 +105,9 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
                 collided[started] |= x[started] <= ep.end
     total = float(access.sum())
     count = int(collided.sum())
-    n_windows = n // window
-    window_collisions = collided[: n_windows * window].reshape(n_windows, window).sum(axis=1)
+    window_collisions = _window_sums(collided, window)
     outage_prob = None
-    if eta is not None and n_windows >= 1:
+    if eta is not None and window_collisions.size:
         outage_prob = float(np.mean(window_collisions / window > eta))
     return SimResult(
         n_cycles=n,
@@ -129,12 +127,17 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
     )
 
 
-def _batch_se(values: np.ndarray, batch: int = SE_BATCH) -> float:
+def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
+    """Sum of `values` over each full window of `window` cycles."""
+    n_windows = values.size // window
+    return values[: n_windows * window].reshape(n_windows, window).sum(axis=1)
+
+
+def _batch_se(values: np.ndarray) -> float:
     n = values.size
-    n_batches = n // batch
-    if n_batches >= 2:
-        means = values[: n_batches * batch].reshape(n_batches, batch).mean(axis=1)
-        return float(means.std(ddof=1) / math.sqrt(n_batches))
+    means = _window_sums(values, SE_BATCH) / SE_BATCH
+    if means.size >= 2:
+        return float(means.std(ddof=1) / math.sqrt(means.size))
     return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
 
 
@@ -144,10 +147,9 @@ def outage(result: SimResult, eta: float, window: int | None = None) -> float:
     w = result.window if window is None else int(window)
     if w < 1:
         raise ValueError("window must be >= 1")
-    n_windows = result.n_cycles // w
-    if n_windows < 1:
+    counts = _window_sums(result.collided, w)
+    if not counts.size:
         raise DataError(f"trace too short for a single window of {w} cycles")
-    counts = result.collided[: n_windows * w].reshape(n_windows, w).sum(axis=1)
     return float(np.mean(counts / w > eta))
 
 

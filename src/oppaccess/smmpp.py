@@ -19,7 +19,7 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 
-def steady_state(transition: np.ndarray, tol: float = STATIONARY_TOL) -> np.ndarray:
+def steady_state(transition: np.ndarray) -> np.ndarray:
     """Stationary weights of a row-stochastic matrix, alpha = alpha P.
 
     Solves the linear system directly (the chains here are small) and
@@ -37,16 +37,16 @@ def steady_state(transition: np.ndarray, tol: float = STATIONARY_TOL) -> np.ndar
     a = p.T - np.eye(n)
     # a one-dimensional null space is required for uniqueness
     sv = np.linalg.svd(a, compute_uv=False)
-    if n > 1 and sv[-2] <= max(tol, sv[0] * 1e-12):
+    if n > 1 and sv[-2] <= max(STATIONARY_TOL, sv[0] * 1e-12):
         raise ModelError("stationary vector is not unique (chain is reducible)")
     m = np.vstack([a, np.ones(n)])
     b = np.zeros(n + 1)
     b[-1] = 1.0
     alpha, *_ = np.linalg.lstsq(m, b, rcond=None)
-    if np.any(alpha <= tol):
+    if np.any(alpha <= STATIONARY_TOL):
         raise ModelError("stationary vector has non-positive entries (transient states)")
     resid = np.max(np.abs(alpha @ p - alpha))
-    if resid > max(tol, 1e-12):
+    if resid > max(STATIONARY_TOL, 1e-12):
         raise ModelError(f"stationary solve residual {resid:g} above tolerance")
     return alpha / alpha.sum()
 
@@ -196,50 +196,52 @@ def _walk(cum: np.ndarray, u: np.ndarray, state: int, out: np.ndarray) -> int:
     return int(out[-1])
 
 
-def _generate_arrays(model: SmmppModel, n_cycles: int, rng: np.random.Generator):
+def _initial_state(model: SmmppModel, rng: np.random.Generator) -> int:
+    """A state drawn from the stationary vector with one uniform."""
+    state = int(np.searchsorted(np.cumsum(model.steady), rng.random(), side="right"))
+    return min(state, model.n - 1)
+
+
+def _fill(model: SmmppModel, rng: np.random.Generator, durations: np.ndarray,
+          states: np.ndarray) -> None:
+    """Draw one segment of `model` traffic into the equal-length slices
+    `durations` and `states`: the transition uniforms, the initial state,
+    then the exponentials."""
     cum = np.cumsum(model.transition, axis=1)
     cum[:, -1] = 1.0
-    states = np.empty(n_cycles, dtype=np.int64)
-    u = rng.random(n_cycles)
-    state = int(np.searchsorted(np.cumsum(model.steady), rng.random(), side="right"))
-    state = states[0] = min(state, model.n - 1)
+    u = rng.random(states.size)
+    state = states[0] = _initial_state(model, rng)
     # the draw of the last cycle picks a successor that is never recorded
     chunk = max(1, _CHUNK_MAPS // (_BLOCK * model.n)) * _BLOCK
-    for start in range(0, n_cycles - 1, chunk):
-        stop = min(start + chunk, n_cycles - 1)
+    for start in range(0, states.size - 1, chunk):
+        stop = min(start + chunk, states.size - 1)
         state = _walk(cum, u[start:stop], state, states[start + 1:stop + 1])
-    durations = rng.standard_exponential(n_cycles) / model.rates[states]
-    return durations, states
+    rng.standard_exponential(out=durations)
+    durations /= model.rates[states]
 
 
-def generate(model: SmmppModel, n_cycles: int, seed) -> IdleTrace:
+def generate(model: SmmppModel | HyperExpDist, n_cycles: int, seed) -> IdleTrace:
     """Draw a labelled stationary trace; pure function of (model, n, seed).
 
-    The initial state is drawn from the stationary vector, then one
-    transition per cycle (self-loops allowed).
+    The one-segment schedule of `generate_nonstationary`: the initial state
+    is drawn from the stationary vector, then one transition per cycle
+    (self-loops allowed).
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
-    rng = np.random.default_rng(seed)
-    durations, states = _generate_arrays(model, int(n_cycles), rng)
-    return IdleTrace(durations, states)
+    return generate_nonstationary(NonstationarySchedule(((n_cycles, model),)), seed)
 
 
 def generate_nonstationary(schedule: NonstationarySchedule, seed) -> IdleTrace:
-    """Concatenate per-segment traces, recording segment boundaries.
+    """Play the segments in order, recording segment boundaries.
 
     Mixture segments are played as i.i.d.-state models so every cycle still
     carries a generating-state label.
     """
+    bounds = np.cumsum([0] + [count for count, _ in schedule.segments]).tolist()
+    durations = np.empty(bounds[-1])
+    states = np.empty(bounds[-1], dtype=np.int64)
     rng = np.random.default_rng(seed)
-    durations, states, bounds = [], [], []
-    start = 0
-    for count, model in schedule.segments:
+    for (_, model), start, stop in zip(schedule.segments, bounds, bounds[1:]):
         if isinstance(model, HyperExpDist):
             model = SmmppModel.from_mixture(model)
-        d, s = _generate_arrays(model, count, rng)
-        durations.append(d)
-        states.append(s)
-        bounds.append(start)
-        start += count
-    return IdleTrace(np.concatenate(durations), np.concatenate(states), tuple(bounds))
+        _fill(model, rng, durations[start:stop], states[start:stop])
+    return IdleTrace(durations, states, tuple(bounds[:-1]))

@@ -308,7 +308,7 @@ class _ConditionalRow:
     """
 
     def __init__(self, weights: np.ndarray, rates: np.ndarray, lam_star: float):
-        self.w = weights
+        self.log_w = np.log(weights)
         self.r = rates
         self.lam_star = lam_star
         above = rates > lam_star
@@ -322,7 +322,7 @@ class _ConditionalRow:
 
     def _log_phi(self, tau: float) -> float:
         num = self.log_num_w - self.num_r * tau
-        den = np.log(self.w) - self.r * tau
+        den = self.log_w - self.r * tau
         return _logsumexp(num) - _logsumexp(den)
 
     def tau_at(self, log_phi_bar: float) -> float:
@@ -352,7 +352,7 @@ class _ConditionalRow:
     def ccdf(self, tau: float) -> float:
         if math.isinf(tau):
             return 0.0
-        return float(np.exp(_logsumexp(np.log(self.w) - self.r * tau)))
+        return float(np.exp(_logsumexp(self.log_w - self.r * tau)))
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -393,9 +393,10 @@ def markov_optimal(model: SmmppModel, eta: float) -> Strategy:
     log_hi = max((r.log_phi0 for r in rows if not r.constant), default=0.0)
     log_hi = log_hi + 1.0 if math.isfinite(log_hi) else 1.0
     log_lo = -800.0
-    while total_collision(log_lo)[0] > eta + COLLISION_TOL and log_lo > -1e7:
-        log_lo *= 4.0
     c_lo, taus = total_collision(log_lo)
+    while c_lo > eta + COLLISION_TOL and log_lo > -1e7:
+        log_lo *= 4.0
+        c_lo, taus = total_collision(log_lo)
     if abs(c_lo - eta) <= COLLISION_TOL:
         return _episodes_from_taus(model, taus, "markov_optimal")
     if c_lo > eta:

@@ -64,6 +64,31 @@ def test_generate_marks_schedule_boundaries(tmp_path):
     assert "# segment: cycle=50" in out.read_text().splitlines()
 
 
+def test_schedule_sets_the_trace_length(tmp_path, capsys):
+    schedule = {"schedule": [{"cycles": 100, "model": MIXTURE},
+                             {"cycles": 50, "model": THREE_STATE}]}
+
+    def generate(generate_section):
+        out = tmp_path / "sched.trace"
+        cfg = write_config(tmp_path, {"model": schedule,
+                                      "trace": {"generate": generate_section}})
+        code = main(["generate", "--config", cfg, "--out", str(out)])
+        if code:
+            return code
+        return sum(not line.startswith("#") for line in out.read_text().splitlines())
+
+    assert generate({"seed": 1}) == 150
+    assert generate({"cycles": 150, "seed": 1}) == 150
+    capsys.readouterr()
+    for cycles in (10, 151):
+        assert generate({"cycles": cycles, "seed": 1}) == 2
+        assert "`trace.generate.cycles`" in capsys.readouterr().err
+    # a stationary model still needs the cycle count
+    cfg = write_config(tmp_path, {"model": MIXTURE, "trace": {"generate": {"seed": 1}}})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x.trace")]) == 2
+    assert "`trace.generate.cycles` is required" in capsys.readouterr().err
+
+
 def test_generate_requires_out(tmp_path):
     cfg = write_config(tmp_path, {
         "model": THREE_STATE, "trace": {"generate": {"cycles": 10, "seed": 0}},
@@ -220,6 +245,34 @@ def test_sweep_ptsi_filter(tmp_path):
     _, rows = read_table(report)
     assert sorted({r["strategy"] for r in rows}) == [
         "multiple_shot", "stat_one_shot", "stat_optimal"]
+
+
+def test_design_only_sweep_refuses_simulation_flags(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": THREE_STATE, "eval": {"seed": 3, "window": 10}})
+    for flags in (["--seed", "-5"], ["--window", "0"], ["--seed", "3", "--window", "10"]):
+        assert main(["sweep", "--config", cfg, "--eta", "0.1", *flags]) == 2, flags
+        assert "--simulate" in capsys.readouterr().err
+    # the eval section may stay in a config shared with eval and compare
+    assert main(["sweep", "--config", cfg, "--eta", "0.1", "--out",
+                 str(tmp_path / "sweep.csv")]) == 0
+
+
+def test_every_sweep_reads_sweep_strategies(tmp_path):
+    base = {"model": THREE_STATE, "trace": {"generate": {"cycles": 1000, "seed": 0}}}
+
+    def names(sweep, *flags):
+        report = tmp_path / "sweep.csv"
+        config = write_config(tmp_path, {**base, "sweep": {"etas": 0.1, **sweep}})
+        assert main(["sweep", "--config", config, "--out", str(report), *flags]) == 0
+        return [r["strategy"] for r in read_table(report)[1]]
+
+    listed = {"strategies": ["stat_optimal", "full_optimal"]}
+    assert names(listed) == ["stat_optimal", "full_optimal"]
+    assert names(listed, "--simulate") == ["stat_optimal", "full_optimal"]
+    assert names({**listed, "simulate": True}) == ["stat_optimal", "full_optimal"]
+    assert names({"strategies": "markov_optimal"}) == ["markov_optimal"]
+    assert names(listed, "--ptsi", "full") == ["full_optimal"]
+    assert names(listed, "--strategy", "multiple_shot") == ["multiple_shot"]
 
 
 def test_sweep_robustness_over_true_weights(tmp_path):

@@ -141,6 +141,16 @@ def trace_digests(workdir: Path) -> dict:
     return out
 
 
+def test_generate_plays_a_mixture_as_its_iid_state_model():
+    # the `generate/mixture/*` digests were recorded on SmmppModel.from_mixture
+    expected = json.loads((GOLDEN / "traces.json").read_text())
+    mixture = HyperExpDist(TWO_RATE_WEIGHTS, TWO_RATE_RATES)
+    for n in GENERATOR_SIZES:
+        for seed in GENERATOR_SEEDS:
+            digest = _trace_sha(generate(mixture, n, seed))
+            assert digest == expected[f"generate/mixture/{n}/{seed}"], (n, seed)
+
+
 def schedule_records() -> dict:
     out = {}
     for model_name, (rates, transition) in MODELS.items():

@@ -154,6 +154,8 @@ def test_outage_recomputable_at_other_windows(three_rate_mixture, medium_trace):
     s = stat_optimal(three_rate_mixture, 0.1)
     res = run(medium_trace, s, seed=2, window=100, eta=0.1)
     assert res.outage_prob == pytest.approx(outage(res, 0.1, window=100))
+    # run and outage count windows through one kernel: equal to the bit
+    assert res.outage_prob == outage(res, 0.1)
     alt = outage(res, 0.1, window=500)
     assert 0.0 <= alt <= 1.0
     with pytest.raises(DataError):
