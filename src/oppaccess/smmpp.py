@@ -8,6 +8,7 @@ idle durations with the hidden generating state attached to each cycle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,20 +144,24 @@ class IdleTrace:
 
 @dataclass(frozen=True)
 class NonstationarySchedule:
-    """Segments of (cycle count, SmmppModel or HyperExpDist) played in order."""
+    """Segments of (cycle count, SmmppModel or HyperExpDist) played in order;
+    a count is an integer-valued number, not a bool."""
 
     segments: tuple
 
     def __post_init__(self):
-        segs = tuple((int(c), m) for c, m in self.segments)
+        segs = tuple(self.segments)
         if not segs:
             raise ValueError("schedule needs at least one segment")
         for count, model in segs:
+            if (isinstance(count, (bool, np.bool_)) or not isinstance(count, numbers.Real)
+                    or count % 1 != 0):
+                raise ValueError(f"segment cycle counts must be integers, got {count!r}")
             if count < 1:
                 raise ValueError("segment cycle counts must be >= 1")
             if not isinstance(model, (SmmppModel, HyperExpDist)):
                 raise ValueError("segment model must be SmmppModel or HyperExpDist")
-        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "segments", tuple((int(c), m) for c, m in segs))
 
 
 # The walk composes per-cycle transition maps within blocks of _BLOCK cycles
@@ -212,10 +217,14 @@ def _fill(model: SmmppModel, rng: np.random.Generator, durations: np.ndarray,
     u = rng.random(states.size)
     state = states[0] = _initial_state(model, rng)
     # the draw of the last cycle picks a successor that is never recorded
-    chunk = max(1, _CHUNK_MAPS // (_BLOCK * model.n)) * _BLOCK
-    for start in range(0, states.size - 1, chunk):
-        stop = min(start + chunk, states.size - 1)
-        state = _walk(cum, u[start:stop], state, states[start + 1:stop + 1])
+    if (model.transition == model.transition[0]).all():
+        # i.i.d. states: the next state does not depend on the current one
+        states[1:] = np.searchsorted(cum[0], u[:-1], side="right")
+    else:
+        chunk = max(1, _CHUNK_MAPS // (_BLOCK * model.n)) * _BLOCK
+        for start in range(0, states.size - 1, chunk):
+            stop = min(start + chunk, states.size - 1)
+            state = _walk(cum, u[start:stop], state, states[start + 1:stop + 1])
     rng.standard_exponential(out=durations)
     durations /= model.rates[states]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import HyperExpDist, exponential
+from .distribution import WEIGHT_FLOOR, HyperExpDist, exponential
 from .errors import ModelError, SolverError
 from .smmpp import SmmppModel
 
@@ -295,9 +295,9 @@ def markov_opt_balanced(model: SmmppModel, eta: float) -> Strategy:
     return _balanced(MARKOV, model, eta, _tail, "markov_opt_balanced")
 
 
-class _ConditionalRow:
-    """Log-domain view of one conditional mixture for the cross-state
-    threshold search.
+class _ConditionalRows:
+    """Log-domain view of every previous state's conditional mixture, for
+    the cross-state threshold search.
 
     The optimal cross-state allocation equalizes the value-to-cost ratio
     (1-F_i)/f_i across active states. That ratio equals 1/(lam_min + phi)
@@ -305,61 +305,102 @@ class _ConditionalRow:
     search runs on log(phi): the ratio itself can approach its supremum
     closer than one double ulp for well-separated rates, while log(phi)
     stays perfectly resolvable.
+
+    Every row's law mixes the model's own rates, so the rows form one
+    (n, K) system of log weights over `model.rates`, a missing component
+    having weight -inf, and one call evaluates all rows at once.
     """
 
-    def __init__(self, weights: np.ndarray, rates: np.ndarray, lam_star: float):
-        self.log_w = np.log(weights)
-        self.r = rates
-        self.lam_star = lam_star
-        above = rates > lam_star
-        self.log_num_w = np.log(weights[above] * (rates[above] - lam_star))
-        self.num_r = rates[above]
-        self.constant = not np.any(above)  # phi identically 0 (pure lam_star row)
-        self.single_atom = weights.size == 1 and above.any()
-        # phi at tau=0 and its large-tau limit
-        self.log_phi0 = -math.inf if self.constant else self._log_phi(0.0)
-        self.log_asym = math.log(rates.min() - lam_star) if rates.min() > lam_star else -math.inf
+    def __init__(self, model: SmmppModel):
+        r = model.rates
+        lam_star = float(r[0])
+        w = np.zeros((model.n, r.size))
+        for i, (_, law) in enumerate(_context_laws(MARKOV, model)):
+            # the components HyperExpDist keeps, in the model's rate order
+            w[i, model.transition[i] > WEIGHT_FLOOR] = law.weights
+        self.r = r
+        self.row_min = r[np.argmax(w > 0, axis=1)]
+        with np.errstate(divide="ignore"):
+            self.log_w = np.log(w)
+            self.log_num_w = np.log(w * (r - lam_star))
+            self.log_asym = np.log(self.row_min - lam_star)  # phi's large-tau limit
+        self.constant = np.isneginf(self.log_num_w).all(axis=1)  # phi identically 0
+        self.single_atom = ((w > 0).sum(axis=1) == 1) & ~self.constant
+        self.log_ccdf0 = _lse_and_mean(self.log_w, r)[0]
+        # phi at tau=0; a single-atom row's equals its limit
+        self.log_phi0 = np.full(model.n, -math.inf)
+        live = ~self.constant
+        self.log_phi0[live] = _lse_and_mean(self.log_num_w[live], r)[0] - self.log_ccdf0[live]
 
-    def _log_phi(self, tau: float) -> float:
-        num = self.log_num_w - self.num_r * tau
-        den = self.log_w - self.r * tau
-        return _logsumexp(num) - _logsumexp(den)
+    def _at(self, rows: np.ndarray, tau: np.ndarray):
+        """log phi of each of `rows` at its own tau, its slope
+        d log phi / d tau = E_den[r] - E_num[r], and log ccdf (the
+        denominator), all from one set of exponentials."""
+        decay = tau[:, None] * self.r
+        log_num, mean_num = _lse_and_mean(self.log_num_w[rows] - decay, self.r)
+        log_den, mean_den = _lse_and_mean(self.log_w[rows] - decay, self.r)
+        return log_num - log_den, mean_den - mean_num, log_den
 
-    def tau_at(self, log_phi_bar: float) -> float:
-        """Smallest tau with log phi(tau) <= log_phi_bar; inf if unreachable."""
-        if self.constant or log_phi_bar >= self.log_phi0:
-            return 0.0
-        if log_phi_bar <= self.log_asym:
-            return math.inf
-        hi = 1.0 / float(self.r.min())
+    def taus_at(self, log_phi_bar: float, lower: np.ndarray, upper: np.ndarray):
+        """Each row's smallest tau with log phi(tau) <= log_phi_bar (inf if
+        unreachable) and its log ccdf there, given that each tau lies in
+        [lower, upper]; an infinite upper bound is found by doubling."""
+        above = log_phi_bar < self.log_phi0
+        never = above & (log_phi_bar <= self.log_asym)
+        tau = np.where(never, math.inf, 0.0)
+        log_ccdf = np.where(never, -math.inf, self.log_ccdf0)
+        rows = np.flatnonzero(above & ~never)
+        if rows.size:
+            tau[rows], log_ccdf[rows] = self._roots(rows, log_phi_bar, lower[rows], upper[rows])
+        return tau, log_ccdf
+
+    def _roots(self, rows, bar, lo, hi):
+        """Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes
+        9.4) on every row at once, narrowing the brackets `lo`, `hi` in
+        place: a Newton step that would leave the row's bracket, or that
+        shrinks slower than bisection, is replaced by a bisection step."""
+        tau = np.full(rows.size, math.inf)
+        log_ccdf = np.full(rows.size, -math.inf)
+        todo = np.flatnonzero(np.isinf(hi) & np.isfinite(lo))
+        trial = np.maximum(1.0 / self.row_min[rows[todo]], 2.0 * lo[todo])
         for _ in range(200):
-            if self._log_phi(hi) < log_phi_bar:
+            if not todo.size:
                 break
-            hi *= 2.0
-        else:
-            return math.inf
-        lo = 0.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if self._log_phi(mid) > log_phi_bar:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= hi * 1e-15:
-                break
-        return 0.5 * (lo + hi)
+            below = self._at(rows[todo], trial)[0] < bar
+            hi[todo[below]] = trial[below]
+            lo[todo[~below]] = trial[~below]
+            todo, trial = todo[~below], 2.0 * trial[~below]
+        todo = np.flatnonzero(np.isfinite(hi))  # rows left open stay at inf
+        x = 0.5 * (lo[todo] + hi[todo])
+        step = hi[todo] - lo[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for it in range(120):
+                g, slope, lc = self._at(rows[todo], x)
+                g -= bar
+                a = np.where(g > 0, x, lo[todo])
+                b = np.where(g > 0, hi[todo], x)
+                newton = x - g / slope
+                bisect = (~((newton >= a) & (newton <= b))
+                          | (np.abs(2.0 * g) > np.abs(step * slope)))
+                nxt = np.where(bisect, 0.5 * (a + b), newton)
+                step = np.where(bisect, 0.5 * (b - a), nxt - x)
+                done = (np.abs(step) <= 4e-16 * x) | (b - a <= 1e-15 * b) | (it == 119)
+                tau[todo[done]], log_ccdf[todo[done]] = x[done], lc[done]
+                keep = ~done
+                if not keep.any():
+                    break
+                lo[todo], hi[todo] = a, b
+                todo, x, step = todo[keep], nxt[keep], step[keep]
+        return tau, log_ccdf
 
-    def ccdf(self, tau: float) -> float:
-        if math.isinf(tau):
-            return 0.0
-        return float(np.exp(_logsumexp(self.log_w - self.r * tau)))
 
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = np.max(v)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(v - m))))
+def _lse_and_mean(v: np.ndarray, rates: np.ndarray):
+    """Row-wise log-sum-exp of `v` and the softmax(v)-weighted mean of
+    `rates`; every row holds at least one finite entry."""
+    m = v.max(axis=1)
+    e = np.exp(v - m[:, None])
+    s = e.sum(axis=1)
+    return m + np.log(s), (e @ rates) / s
 
 
 def markov_optimal(model: SmmppModel, eta: float) -> Strategy:
@@ -372,86 +413,76 @@ def markov_optimal(model: SmmppModel, eta: float) -> Strategy:
     ratio; when the threshold lands exactly on one of them, that state
     absorbs the residual budget through a partial tail policy, which spends
     the same budget at the same ratio as the randomized-probability form.
+
+    The threshold is bisected; each row's time for it lies between its
+    times for the current bracket ends (tau falls as the threshold rises).
     """
     _check_eta(eta)
-    lam_star = float(model.rates.min())
-    rows = [_ConditionalRow(law.weights, law.rates, lam_star)
-            for _, law in _context_laws(MARKOV, model)]
+    rows = _ConditionalRows(model)
     alpha = model.steady
 
-    def total_collision(log_phi_bar: float) -> tuple[float, list[float]]:
-        taus = []
-        for row in rows:
-            if row.single_atom:
-                # constant ratio: include the whole state only above its level
-                taus.append(0.0 if log_phi_bar > row.log_asym else math.inf)
-            else:
-                taus.append(row.tau_at(log_phi_bar))
-        coll = float(sum(a * row.ccdf(t) for a, row, t in zip(alpha, rows, taus)))
-        return coll, taus
+    def total_collision(log_phi_bar: float, lower, upper):
+        """Collision spent at the threshold, each row's time and survival."""
+        taus, log_ccdf = rows.taus_at(log_phi_bar, lower, upper)
+        ccdf = np.exp(log_ccdf)
+        return float(sum(alpha * ccdf)), taus, ccdf
 
-    log_hi = max((r.log_phi0 for r in rows if not r.constant), default=0.0)
+    log_hi = max(rows.log_phi0[~rows.constant].tolist(), default=0.0)
     log_hi = log_hi + 1.0 if math.isfinite(log_hi) else 1.0
+    taus_hi = np.zeros(model.n)  # every row transmits at once above log_hi
     log_lo = -800.0
-    c_lo, taus = total_collision(log_lo)
+    c_lo, taus, ccdf = total_collision(log_lo, taus_hi, np.full(model.n, math.inf))
     while c_lo > eta + COLLISION_TOL and log_lo > -1e7:
         log_lo *= 4.0
-        c_lo, taus = total_collision(log_lo)
+        c_lo, taus, ccdf = total_collision(log_lo, taus, np.full(model.n, math.inf))
     if abs(c_lo - eta) <= COLLISION_TOL:
         return _episodes_from_taus(model, taus, "markov_optimal")
     if c_lo > eta:
         # threshold sits at the global ratio supremum: only the pure
         # slowest-rate states can be active, and only partially
-        for i, row in enumerate(rows):
-            taus[i] = math.inf if row.constant else taus[i]
-        at_jump = [i for i, row in enumerate(rows) if row.constant]
-        return _finish_with_atoms(model, rows, alpha, taus, eta, at_jump)
-    lo, hi = log_lo, log_hi
+        taus[rows.constant], ccdf[rows.constant] = math.inf, 0.0
+        return _finish_with_atoms(model, rows, taus, ccdf, eta, np.flatnonzero(rows.constant))
+    lo, hi, taus_lo, ccdf_lo = log_lo, log_hi, taus, ccdf
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        coll, taus = total_collision(mid)
+        coll, taus, ccdf = total_collision(mid, taus_hi, taus_lo)
         if abs(coll - eta) <= COLLISION_TOL:
             return _episodes_from_taus(model, taus, "markov_optimal")
         if coll < eta:
-            lo = mid
+            lo, c_lo, taus_lo, ccdf_lo = mid, coll, taus, ccdf
         else:
-            hi = mid
+            hi, taus_hi = mid, taus
         if hi - lo <= max(abs(mid), 1.0) * 1e-14:
             break
-    coll, taus = total_collision(lo)
-    if eta - coll > COLLISION_TOL:
+    if eta - c_lo > COLLISION_TOL:
         # the collision curve jumps inside (lo, hi]: a constant-ratio state
         # sits exactly at the threshold and absorbs the residual
-        at_jump = [i for i, row in enumerate(rows)
-                   if row.single_atom and lo < row.log_asym <= hi + 1e-12]
-        return _finish_with_atoms(model, rows, alpha, taus, eta, at_jump)
-    return _episodes_from_taus(model, taus, "markov_optimal")
+        at_jump = np.flatnonzero(rows.single_atom & (lo < rows.log_asym)
+                                 & (rows.log_asym <= hi + 1e-12))
+        return _finish_with_atoms(model, rows, taus_lo, ccdf_lo, eta, at_jump)
+    return _episodes_from_taus(model, taus_lo, "markov_optimal")
 
 
-def _finish_with_atoms(model, rows, alpha, taus, eta, at_jump):
+def _finish_with_atoms(model, rows, taus, ccdf, eta, at_jump):
     """Close the budget gap left by a jump of the collision curve: spread
     the residual over the constant-ratio states at the jump level. Their
     value-to-cost is flat, so any schedule spending the same mass is
     optimal; the tail form is the canonical one."""
-    for i, row in enumerate(rows):
-        if not math.isinf(taus[i]) and taus[i] > 0.0 and row.ccdf(taus[i]) == 0.0:
-            taus[i] = math.inf
-    coll = float(sum(a * row.ccdf(t) for a, row, t in zip(alpha, rows, taus)))
-    residual = eta - coll
+    alpha = model.steady
+    taus = np.where(ccdf == 0.0, math.inf, taus)  # no mass left to wait for
+    residual = eta - float(sum(alpha * ccdf))
     if residual < -COLLISION_TOL:
         raise SolverError("collision budget overshot while resolving a threshold tie")
-    for i in at_jump:
+    for i in at_jump.tolist():
         if residual <= COLLISION_TOL:
             break
-        row = rows[i]
         state_mass = float(alpha[i])
         take = min(residual, state_mass)
         share = take / state_mass
         if share >= 1.0 - 1e-12:
             taus[i] = 0.0
         else:
-            rate = float(row.r.min())
-            taus[i] = math.log(1.0 / share) / rate
+            taus[i] = math.log(1.0 / share) / float(rows.row_min[i])
         residual -= take
     if residual > max(COLLISION_TOL, 1e-9):
         raise SolverError(
@@ -462,7 +493,7 @@ def _finish_with_atoms(model, rows, alpha, taus, eta, at_jump):
 
 def _episodes_from_taus(model, taus, name) -> Strategy:
     ctxs = []
-    for t in taus:
+    for t in np.asarray(taus, dtype=float).tolist():
         if math.isinf(t):
             ctxs.append(())
         else:
@@ -521,33 +552,6 @@ def multiple_shot(rates, eta: float, epsilon: float = DEFAULT_EPSILON) -> Strate
                 f"{prev.end:g}; increase the rate separation or lower eta/epsilon")
         episodes.append(Episode(start, end))
     return Strategy(STAT, (tuple(episodes),), "multiple_shot")
-
-
-def markov_os_balanced_small_eta_capacity(model: SmmppModel, eta: float) -> float:
-    """Linearized capacity sum(alpha_i * eta / sum_j p_ij lam_j); exact only
-    while every cap stays well inside all component time scales."""
-    _check_eta(eta)
-    row_rates = model.transition @ model.rates
-    return float(np.sum(model.steady * eta / row_rates))
-
-
-def multiple_shot_small_eta_capacity(weights, rates, eta: float,
-                                     epsilon: float = DEFAULT_EPSILON) -> float:
-    """Small-eta capacity of the multiple-shot schedule under design weights:
-    each slow component contributes its shots discounted by the probability
-    of surviving the preceding confidence waits."""
-    _check_eta(eta)
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    r = np.atleast_1d(np.asarray(rates, dtype=float))
-    if w.shape != r.shape:
-        raise ValueError("weights and rates must align")
-    n = r.size
-    wait = np.log(1.0 / epsilon) / r
-    total = eta / r[-1]
-    for j in range(n - 1):
-        total += w[j] * sum(math.exp(-r[j] * wait[i + 1]) * eta / r[i]
-                            for i in range(j, n - 1))
-    return float(total)
 
 
 # The strategy registry: name -> (PTSI mode, constructor), in report order.

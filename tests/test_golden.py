@@ -9,8 +9,16 @@ claims to be reproducible from its embedded config and seed.
 Rewrite the files after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, before it writes, how the new outputs differ from the
+recorded ones: per changed schedule the largest absolute and relative
+change of each field, every change of structure (episode counts, infinite
+or zero values, raised error types), changed report lines and changed
+trace digests. A change that moves bits commits the new files with that
+diff and the bound it holds; the tests themselves keep comparing exactly.
 """
 
+import difflib
 import hashlib
 import json
 from pathlib import Path
@@ -38,6 +46,7 @@ from oppaccess import (
     write_trace,
 )
 from oppaccess.cli import main
+from oppaccess.errors import OppaccessError
 
 from conftest import THREE_STATE_P, THREE_STATE_RATES, TWO_RATE_RATES, TWO_RATE_WEIGHTS
 
@@ -157,8 +166,65 @@ def schedule_records() -> dict:
         model = SmmppModel(np.array(rates, dtype=float), np.array(transition, dtype=float))
         for eta in ETAS + EXTRA_ETAS.get(model_name, ()):
             for name, construct in CONSTRUCTORS:
-                out[f"{model_name}/{eta!r}/{name}"] = construct(model, eta).to_record()
+                try:
+                    record = construct(model, eta).to_record()
+                except OppaccessError as exc:
+                    record = {"error": type(exc).__name__}
+                out[f"{model_name}/{eta!r}/{name}"] = record
     return out
+
+
+def _key_changes(key: str, old: dict, new: dict, largest: dict) -> list[str]:
+    """How schedule record `new` differs from `old`: one line per change of
+    structure, then the largest absolute and relative change of each field,
+    which also raise the running maxima in `largest`."""
+    if "error" in old or "error" in new or old["mode"] != new["mode"]:
+        return [f"{key}: {old.get('error') or old['mode']} -> {new.get('error') or new['mode']}"]
+    counts = ([len(ctx) for ctx in old["contexts"]], [len(ctx) for ctx in new["contexts"]])
+    if counts[0] != counts[1]:
+        return [f"{key}: episode counts {counts[0]} -> {counts[1]}"]
+    lines, mine = [], {}
+    for c, (ctx_old, ctx_new) in enumerate(zip(old["contexts"], new["contexts"])):
+        for e, (ep_old, ep_new) in enumerate(zip(ctx_old, ctx_new)):
+            for field, x in ep_old.items():
+                y = ep_new[field]
+                if x == y:
+                    continue
+                if x is None or y is None or 0.0 in (x, y):  # None is an infinite end
+                    lines.append(f"{key}: context {c} episode {e} {field} {x!r} -> {y!r}")
+                    continue
+                for table in (mine, largest):
+                    abs_max, rel_max = table.get(field, (0.0, 0.0))
+                    table[field] = (max(abs_max, abs(y - x)), max(rel_max, abs(y - x) / abs(x)))
+    return lines + _largest_lines(key, mine)
+
+
+def _largest_lines(what: str, largest: dict) -> list[str]:
+    return [f"{what}: {field} max abs {a:.3g}, max rel {r:.3g}"
+            for field, (a, r) in sorted(largest.items())]
+
+
+def golden_diff(name: str, old: bytes, new: bytes) -> list[str]:
+    """Lines describing how the golden file `name` would change."""
+    if old == new:
+        return []
+    if name.endswith(".csv"):
+        return [f"{name}: {line}" for line in difflib.unified_diff(
+            old.decode().splitlines(), new.decode().splitlines(), lineterm="", n=0)
+            if line[:1] in "+-" and line[:3] not in ("+++", "---")]
+    old_rec, new_rec = json.loads(old), json.loads(new)
+    lines = [f"{name}: removed {key}" for key in sorted(old_rec.keys() - new_rec.keys())]
+    lines += [f"{name}: added {key}" for key in sorted(new_rec.keys() - old_rec.keys())]
+    changed = [key for key in sorted(old_rec.keys() & new_rec.keys())
+               if old_rec[key] != new_rec[key]]
+    if name != "schedules.json":
+        return lines + [f"{name}: changed {key}" for key in changed]
+    largest = {}
+    for key in changed:
+        lines += [f"{name}: {line}" for line in
+                  _key_changes(key, old_rec[key], new_rec[key], largest)]
+    summary = f"{len(changed)} of {len(new_rec)} keys changed, all fields"
+    return lines + [f"{name}: {line}" for line in _largest_lines(summary, largest)]
 
 
 def report_bytes(name: str, workdir: Path) -> bytes:
@@ -195,9 +261,13 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    (GOLDEN / "schedules.json").write_text(json.dumps(schedule_records(), indent=1) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
-        for report in REPORTS:
-            (GOLDEN / f"{report}.csv").write_bytes(report_bytes(report, Path(tmp)))
-        (GOLDEN / "traces.json").write_text(
-            json.dumps(trace_digests(Path(tmp)), indent=1) + "\n")
+        files = {"schedules.json": json.dumps(schedule_records(), indent=1) + "\n"}
+        files.update((f"{report}.csv", report_bytes(report, Path(tmp))) for report in REPORTS)
+        files["traces.json"] = json.dumps(trace_digests(Path(tmp)), indent=1) + "\n"
+    for name, content in files.items():
+        path = GOLDEN / name
+        content = content.encode() if isinstance(content, str) else content
+        old = path.read_bytes() if path.exists() else b"{}" if name.endswith(".json") else b""
+        print("\n".join(golden_diff(name, old, content) or [f"{name}: unchanged"]))
+        path.write_bytes(content)

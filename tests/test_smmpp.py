@@ -127,12 +127,21 @@ def ring_models(draw):
     return SmmppModel(np.array(rates), weights / weights.sum(axis=1, keepdims=True))
 
 
+@st.composite
+def iid_state_models(draw):
+    """2-6-state models whose transition rows are all equal (mixtures)."""
+    k = draw(st.integers(2, 6))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)), dtype=float)
+    rates = draw(st.lists(st.floats(0.5, 1e4), min_size=k, max_size=k, unique=True))
+    return SmmppModel.from_mixture(HyperExpDist(weights / weights.sum(), np.array(rates)))
+
+
 # (block, map entries per chunk): the shipped sizes, and small ones that put
 # many block and chunk edges inside short traces
 GEOMETRIES = [(smmpp._BLOCK, smmpp._CHUNK_MAPS), (4, 64), (8, 8)]
 
 
-@given(model=ring_models(),
+@given(model=st.one_of(ring_models(), iid_state_models()),
        n=st.one_of(st.integers(1, 80), st.sampled_from([1023, 1024, 1025, 1026, 2049, 3073])),
        geometry=st.sampled_from(GEOMETRIES),
        seed=st.integers(0, 2**32))
@@ -224,6 +233,18 @@ def test_schedule_validation(three_state_model):
         NonstationarySchedule(((0, three_state_model),))
     with pytest.raises(ValueError):
         NonstationarySchedule(((5, "nonsense"),))
+
+
+def test_schedule_refuses_bool_and_non_integral_counts(three_state_model):
+    for count in (2.7, True, False, np.True_, np.float64(2.5), math.nan, math.inf, "3", None):
+        with pytest.raises(ValueError, match="integers"):
+            generate(three_state_model, count, 0)
+        with pytest.raises(ValueError, match="integers"):
+            NonstationarySchedule(((4, three_state_model), (count, three_state_model)))
+    for count in (3, 3.0, np.int64(3), np.uint8(3), np.float32(3.0)):
+        trace = generate(three_state_model, count, 0)
+        assert trace.n == 3
+        assert np.array_equal(trace.durations, generate(three_state_model, 3, 0).durations)
 
 
 def test_model_validation():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppaccess import (
     Episode,
@@ -24,12 +26,14 @@ from oppaccess import (
     stat_one_shot,
     stat_optimal,
 )
-from oppaccess.strategies import (
+from oppaccess.strategies import COLLISION_TOL
+
+from _oracles import (
     markov_os_balanced_small_eta_capacity,
     multiple_shot_small_eta_capacity,
+    scalar_markov_optimal,
+    slotted_greedy_capacity,
 )
-
-from _oracles import slotted_greedy_capacity
 
 ETAS = (0.01, 0.05, 0.1)
 
@@ -294,6 +298,51 @@ def test_markov_optimal_budget_below_constant_row_mass():
     assert s.episodes[1][0].start == pytest.approx(math.log(1 / expected_share) / 10.0, rel=1e-9)
     assert math.isinf(s.episodes[1][0].end)
     assert pred.per_state[1][1] == pytest.approx(expected_share, abs=1e-9)
+
+
+@st.composite
+def spread_models(draw):
+    """2-5-state models whose rates span 1-4 decades. Each state moves to
+    the next one around a ring with positive probability, so the chain is
+    irreducible; every other entry is zero or a small integer weight, so
+    rows are often sparse or deterministic."""
+    k = draw(st.integers(2, 5))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=k - 2, max_size=k - 2))
+    exponents = draw(st.floats(1.0, 4.0)) * np.array([0.0, 1.0] + inner)
+    rates = draw(st.floats(0.5, 50.0)) * 10.0 ** exponents
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                     min_size=k, max_size=k)), dtype=float)
+    weights[np.arange(k), (np.arange(k) + 1) % k] += 1.0
+    return SmmppModel(rates, weights / weights.sum(axis=1, keepdims=True))
+
+
+def _built(construct, model, eta):
+    try:
+        return construct(model, eta)
+    except (SolverError, ModelError) as exc:
+        return type(exc)
+
+
+# the oracle takes up to 0.3 s per 5-state build
+@settings(max_examples=40)
+@given(model=spread_models(), eta=st.floats(0.001, 0.95))
+def test_markov_optimal_agrees_with_scalar_oracle(model, eta):
+    # the row-batched Newton search against the one-row-at-a-time bisection
+    new = _built(markov_optimal, model, eta)
+    old = _built(scalar_markov_optimal, model, eta)
+    if isinstance(old, type) or isinstance(new, type):
+        assert new is old
+        return
+    assert [len(ctx) for ctx in new.episodes] == [len(ctx) for ctx in old.episodes]
+    for ctx_new, ctx_old in zip(new.episodes, old.episodes):
+        for ep_new, ep_old in zip(ctx_new, ctx_old):
+            assert (ep_new.start == 0.0) == (ep_old.start == 0.0)
+            assert ep_new.start == pytest.approx(ep_old.start, rel=1e-10, abs=0.0)
+            assert ep_new.end == ep_old.end == math.inf
+    pred_new, pred_old = predict(new, model), predict(old, model)
+    assert abs(pred_new.collision - eta) <= COLLISION_TOL
+    assert abs(pred_old.collision - eta) <= COLLISION_TOL
+    assert pred_new.capacity == pytest.approx(pred_old.capacity, rel=1e-10, abs=0.0)
 
 
 # ------------------------------------------------------- full constructions
