@@ -262,12 +262,11 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        files = {"schedules.json": json.dumps(schedule_records(), indent=1) + "\n"}
+        files = {"schedules.json": (json.dumps(schedule_records(), indent=1) + "\n").encode()}
         files.update((f"{report}.csv", report_bytes(report, Path(tmp))) for report in REPORTS)
-        files["traces.json"] = json.dumps(trace_digests(Path(tmp)), indent=1) + "\n"
+        files["traces.json"] = (json.dumps(trace_digests(Path(tmp)), indent=1) + "\n").encode()
     for name, content in files.items():
         path = GOLDEN / name
-        content = content.encode() if isinstance(content, str) else content
         old = path.read_bytes() if path.exists() else b"{}" if name.endswith(".json") else b""
         print("\n".join(golden_diff(name, old, content) or [f"{name}: unchanged"]))
         path.write_bytes(content)
