@@ -1,7 +1,8 @@
 """Golden outputs: every strategy schedule and four CLI reports, compared
 exactly (`==` on floats, bytes on reports) against files recorded from the
-code before the strategy constructions were rebuilt on shared kernels; and
-sha256 digests of generated traces (per model, size and seed) and of trace
+code before the strategy constructions were rebuilt on shared kernels; the
+plain and the windowed `fit` report of a drifting capture, recorded from the
+row-major, group-by-group EM; and sha256 digests of generated traces (per model, size and seed) and of trace
 files, recorded from the per-cycle generator and line-by-line trace I/O.
 The generator's output per seed is a compatibility contract: every report
 claims to be reproducible from its embedded config and seed.
@@ -21,6 +22,7 @@ diff and the bound it holds; the tests themselves keep comparing exactly.
 import difflib
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,13 @@ REPORTS = {
                                     "strategies": ["stat_one_shot", "stat_optimal",
                                                    "multiple_shot", "always_transmit"]}},
                          ["sweep", "--seed", "6"]),
+}
+
+# `fit` reports on the capture `drift_capture` writes; the report header
+# names the trace, so the command runs inside the work directory
+FIT_REPORTS = {
+    "fit": ["fit", "drift.trace", "--components", "3"],
+    "fit_windowed": ["fit", "drift.trace", "--components", "3", "--group-size", "1000"],
 }
 
 
@@ -227,7 +236,24 @@ def golden_diff(name: str, old: bytes, new: bytes) -> list[str]:
     return lines + [f"{name}: {line}" for line in _largest_lines(summary, largest)]
 
 
+def drift_capture() -> IdleTrace:
+    """60k unlabelled draws of the three-rate mixture, its weights moving
+    from (0.5, 0.3, 0.2) to (0.2, 0.3, 0.5) over six segments."""
+    segments = tuple((10_000, HyperExpDist(np.array(weights), THREE_STATE_RATES))
+                     for weights in np.linspace([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], 6))
+    return IdleTrace(generate_nonstationary(NonstationarySchedule(segments), seed=13).durations)
+
+
 def report_bytes(name: str, workdir: Path) -> bytes:
+    if name in FIT_REPORTS:
+        write_trace(drift_capture(), workdir / "drift.trace")
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            assert main(FIT_REPORTS[name] + ["--out", f"{name}.csv"]) == 0
+        finally:
+            os.chdir(cwd)
+        return (workdir / f"{name}.csv").read_bytes()
     cfg, argv = REPORTS[name]
     config = workdir / f"{name}.json"
     config.write_text(json.dumps(cfg))
@@ -244,7 +270,7 @@ def test_schedules_match_golden_records():
         assert record == expected[key], key
 
 
-@pytest.mark.parametrize("name", sorted(REPORTS))
+@pytest.mark.parametrize("name", sorted(REPORTS) + sorted(FIT_REPORTS))
 def test_cli_report_matches_golden_bytes(name, tmp_path):
     assert report_bytes(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
 
@@ -263,7 +289,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         files = {"schedules.json": (json.dumps(schedule_records(), indent=1) + "\n").encode()}
-        files.update((f"{report}.csv", report_bytes(report, Path(tmp))) for report in REPORTS)
+        files.update((f"{report}.csv", report_bytes(report, Path(tmp)))
+                     for report in (*REPORTS, *FIT_REPORTS))
         files["traces.json"] = (json.dumps(trace_digests(Path(tmp)), indent=1) + "\n").encode()
     for name, content in files.items():
         path = GOLDEN / name
