@@ -65,23 +65,72 @@ def default_init(samples: np.ndarray, n_components: int) -> HyperExpDist:
     return HyperExpDist(np.full(n_components, 1.0 / n_components), rates)
 
 
+def _check_components(n_components: int) -> None:
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
+
+
+def _em_step(x: np.ndarray, w: np.ndarray, lam: np.ndarray, buf: np.ndarray,
+             scratch: np.ndarray):
+    """One EM iteration of G independent K-component fits, component-major.
+
+    ``x`` is (G, n): one row of samples per fit; ``w`` and ``lam`` are
+    (K, G). ``buf`` (K, G, n) and ``scratch`` (G, n) are overwritten. The
+    E-step works in log space, log w_k + log lam_k - lam_k x_i, so widely
+    separated rates do not underflow; the normaliser adds the K rows in
+    order. Returns each fit's log-likelihood under (w, lam), then the
+    responsibility masses and responsibility-weighted sample sums, both
+    (K, G): the M-step's weights are mass / n and its rates mass / sums.
+    """
+    np.multiply(lam[:, :, None], x, out=buf)
+    np.subtract((np.log(w) + np.log(lam))[:, :, None], buf, out=buf)
+    buf.max(axis=0, out=scratch)
+    ll = scratch.sum(axis=1)
+    buf -= scratch
+    np.exp(buf, out=buf)
+    buf.sum(axis=0, out=scratch)
+    buf /= scratch
+    ll += np.log(scratch, out=scratch).sum(axis=1)
+    mass = buf.sum(axis=2)
+    sums = np.matmul(buf.transpose(1, 0, 2), x[:, :, None])[:, :, 0].T
+    return ll, mass, sums
+
+
+def _fit_result(w, lam, history, n_iter: int, converged: bool, dropped: int) -> FitResult:
+    w, lam, merged = _merge_close_rates(w, lam)
+    return FitResult(
+        dist=HyperExpDist(w / w.sum(), lam),
+        log_likelihood=float(history[-1]),
+        loglik_history=np.asarray(history),
+        n_iter=n_iter,
+        converged=converged,
+        dropped_components=dropped,
+        merged_components=merged,
+    )
+
+
+def _converged(ll, ll_prev):
+    return np.abs(ll - ll_prev) <= EM_TOL * np.maximum(1.0, np.abs(ll_prev))
+
+
 def em_fit(samples, n_components: int, init: HyperExpDist | None = None) -> FitResult:
     """Maximum-likelihood mixture fit via EM.
 
-    E-step responsibilities are computed in log space so widely separated
-    rates do not underflow. Components whose responsibility mass vanishes
-    are dropped (and counted); after convergence, rates within 5% of each
-    other are merged into one weight-pooled component.
+    Runs `_em_step` on one fit: component-major (K, 1, N) buffers,
+    allocated once. Components whose responsibility mass vanishes are
+    dropped (and counted); after convergence, rates within 5% of each other
+    are merged into one weight-pooled component.
     """
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+    _check_components(n_components)
     x = _validate_samples(samples, 10 * n_components)
     if init is None:
         init = default_init(x, n_components)
     elif init.n != n_components:
         raise ValueError("init component count does not match n_components")
-    w = init.weights.copy()
-    lam = init.rates.copy()
+    w, lam = init.weights[:, None], init.rates[:, None]
+    rows = x[None]
+    buf = np.empty((n_components, 1, x.size))
+    scratch = np.empty_like(rows)
 
     history = []
     dropped = 0
@@ -89,41 +138,21 @@ def em_fit(samples, n_components: int, init: HyperExpDist | None = None) -> FitR
     ll_prev = None
     it = 0
     for it in range(1, EM_MAX_ITER + 1):
-        # E-step in log space: log w_k + log lam_k - lam_k x_i
-        logterm = np.log(w) + np.log(lam) - np.multiply.outer(x, lam)
-        m = logterm.max(axis=1, keepdims=True)
-        expterm = np.exp(logterm - m)
-        norm = expterm.sum(axis=1, keepdims=True)
-        ll = float(np.sum(m) + np.sum(np.log(norm)))
+        ll, mass, sums = _em_step(rows, w, lam, buf[:lam.shape[0]], scratch)
+        ll = float(ll[0])
         history.append(ll)
-        resp = expterm / norm
-        # M-step
-        mass = resp.sum(axis=0)
-        alive = mass > x.size * 1e-15
+        alive = mass[:, 0] > x.size * 1e-15
         if not np.all(alive):
             dropped += int(np.sum(~alive))
-            resp, mass = resp[:, alive], mass[alive]
-            lam = lam[alive]
-            if lam.size == 0:
+            mass, sums = mass[alive], sums[alive]
+            if mass.size == 0:
                 raise DataError("all mixture components collapsed")
-        w = mass / x.size
-        lam = mass / (resp * x[:, None]).sum(axis=0)
-        if ll_prev is not None and abs(ll - ll_prev) <= EM_TOL * max(1.0, abs(ll_prev)):
+        w, lam = mass / x.size, mass / sums
+        if ll_prev is not None and _converged(ll, ll_prev):
             converged = True
             break
         ll_prev = ll
-
-    w, lam, merged = _merge_close_rates(w, lam)
-    dist = HyperExpDist(w / w.sum(), lam)
-    return FitResult(
-        dist=dist,
-        log_likelihood=history[-1],
-        loglik_history=np.asarray(history),
-        n_iter=it,
-        converged=converged,
-        dropped_components=dropped,
-        merged_components=merged,
-    )
+    return _fit_result(w[:, 0], lam[:, 0], history, it, converged, dropped)
 
 
 def _merge_close_rates(w: np.ndarray, lam: np.ndarray):
@@ -263,22 +292,66 @@ class WindowedFit:
 def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
     """Fit each sequential group of ``group_size`` samples separately.
 
+    All groups run as one batch through `_em_step`, in (K, G, group_size)
+    buffers, each from its own `default_init`. A group leaves the batch when
+    it converges, or at EM_MAX_ITER iterations with ``converged=False``. A
+    group in which a component would be dropped leaves the batch too and
+    is refit from the start through `em_fit`, which counts the drop. The
+    results equal one `em_fit` per group.
+
     Returns results in group order; a group whose fit raises is recorded as
     None and listed in ``failed_groups``. Trailing samples that do not fill
     a group are ignored.
     """
+    _check_components(n_components)
     if group_size < 10 * n_components:
         raise DataError(f"group_size must be >= {10 * n_components}")
     x = _validate_samples(samples, group_size)
     n_groups = x.size // group_size
     if n_groups < 1:
         raise DataError("not enough samples for a single group")
-    results, failed = [], []
-    for g in range(n_groups):
-        chunk = x[g * group_size:(g + 1) * group_size]
+    chunks = x[:n_groups * group_size].reshape(n_groups, group_size)
+    inits = [default_init(chunk, n_components) for chunk in chunks]
+    w = np.array([d.weights for d in inits]).T
+    lam = np.array([d.rates for d in inits]).T
+    buf = np.empty(n_components * chunks.size)
+    scratch = np.empty(chunks.size)
+    history = np.empty((64, n_groups))  # (iteration, group), grown by doubling
+
+    results = [None] * n_groups
+    refit = []
+    active = np.arange(n_groups)
+    rows = chunks
+    ll_prev = None
+    it = 0
+    while active.size:
+        it += 1
+        ll, mass, sums = _em_step(rows, w, lam,
+                                  buf[:n_components * rows.size].reshape(n_components, *rows.shape),
+                                  scratch[:rows.size].reshape(rows.shape))
+        if it > history.shape[0]:
+            history = np.concatenate([history, np.empty_like(history)])
+        history[it - 1, active] = ll
+        alive = np.all(mass > group_size * 1e-15, axis=0)
+        converged = (np.zeros(active.size, dtype=bool) if ll_prev is None
+                     else _converged(ll, ll_prev))
+        done = alive & (converged | (it == EM_MAX_ITER))
+        for j in np.flatnonzero(done):
+            results[active[j]] = _fit_result(
+                mass[:, j] / group_size, mass[:, j] / sums[:, j],
+                history[:it, active[j]].copy(), it, bool(converged[j]), 0)
+        refit.extend(active[~alive].tolist())
+        stay = alive & ~done
+        if not np.all(stay):
+            active, rows, ll = active[stay], rows[stay], ll[stay]
+            mass, sums = mass[:, stay], sums[:, stay]
+        ll_prev = ll
+        w, lam = mass / group_size, mass / sums
+
+    failed = []
+    for g in refit:
         try:
-            results.append(em_fit(chunk, n_components))
+            results[g] = em_fit(chunks[g], n_components)
         except DataError:
-            results.append(None)
             failed.append(g)
-    return WindowedFit(tuple(results), group_size, n_components, tuple(failed))
+    return WindowedFit(tuple(results), group_size, n_components, tuple(sorted(failed)))

@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's own closed forms: the
 slotted allocator brute-forces the budgeted maximization on a discrete
 grid, the high-precision density uses decimal arithmetic, the trace
 generator walks the chain one cycle at a time, and the cross-state optimal
-threshold search solves each previous state's row on its own by bisection.
-The two small-eta closed forms live here because only the tests use them.
+threshold search solves each previous state's row on its own by bisection,
+and the EM fit runs on sample-major (N, K) arrays, one window group after
+the other. The two small-eta closed forms live here because only the tests
+use them.
 """
 
 import math
@@ -13,7 +15,17 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-from oppaccess.errors import SolverError
+from oppaccess.distribution import HyperExpDist
+from oppaccess.errors import DataError, SolverError
+from oppaccess.fit import (
+    EM_MAX_ITER,
+    EM_TOL,
+    FitResult,
+    WindowedFit,
+    _merge_close_rates,
+    _validate_samples,
+    default_init,
+)
 from oppaccess.strategies import (
     COLLISION_TOL,
     DEFAULT_EPSILON,
@@ -256,3 +268,78 @@ def multiple_shot_small_eta_capacity(weights, rates, eta: float,
         total += w[j] * sum(math.exp(-r[j] * wait[i + 1]) * eta / r[i]
                             for i in range(j, n - 1))
     return float(total)
+
+
+def row_major_em_fit(samples, n_components: int, init: HyperExpDist | None = None) -> FitResult:
+    """`fit.em_fit` on (N, K) arrays: each E-step reduces along the length-K
+    axis, and the M-step sums accumulate row by row over the samples."""
+    if n_components < 1:
+        raise ValueError("n_components must be >= 1")
+    x = _validate_samples(samples, 10 * n_components)
+    if init is None:
+        init = default_init(x, n_components)
+    elif init.n != n_components:
+        raise ValueError("init component count does not match n_components")
+    w = init.weights.copy()
+    lam = init.rates.copy()
+
+    history = []
+    dropped = 0
+    converged = False
+    ll_prev = None
+    it = 0
+    for it in range(1, EM_MAX_ITER + 1):
+        # E-step in log space: log w_k + log lam_k - lam_k x_i
+        logterm = np.log(w) + np.log(lam) - np.multiply.outer(x, lam)
+        m = logterm.max(axis=1, keepdims=True)
+        expterm = np.exp(logterm - m)
+        norm = expterm.sum(axis=1, keepdims=True)
+        ll = float(np.sum(m) + np.sum(np.log(norm)))
+        history.append(ll)
+        resp = expterm / norm
+        # M-step
+        mass = resp.sum(axis=0)
+        alive = mass > x.size * 1e-15
+        if not np.all(alive):
+            dropped += int(np.sum(~alive))
+            resp, mass = resp[:, alive], mass[alive]
+            lam = lam[alive]
+            if lam.size == 0:
+                raise DataError("all mixture components collapsed")
+        w = mass / x.size
+        lam = mass / (resp * x[:, None]).sum(axis=0)
+        if ll_prev is not None and abs(ll - ll_prev) <= EM_TOL * max(1.0, abs(ll_prev)):
+            converged = True
+            break
+        ll_prev = ll
+
+    w, lam, merged = _merge_close_rates(w, lam)
+    dist = HyperExpDist(w / w.sum(), lam)
+    return FitResult(
+        dist=dist,
+        log_likelihood=history[-1],
+        loglik_history=np.asarray(history),
+        n_iter=it,
+        converged=converged,
+        dropped_components=dropped,
+        merged_components=merged,
+    )
+
+
+def per_group_windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
+    """`fit.windowed_fit` as one `row_major_em_fit` per group, in order."""
+    if group_size < 10 * n_components:
+        raise DataError(f"group_size must be >= {10 * n_components}")
+    x = _validate_samples(samples, group_size)
+    n_groups = x.size // group_size
+    if n_groups < 1:
+        raise DataError("not enough samples for a single group")
+    results, failed = [], []
+    for g in range(n_groups):
+        chunk = x[g * group_size:(g + 1) * group_size]
+        try:
+            results.append(row_major_em_fit(chunk, n_components))
+        except DataError:
+            results.append(None)
+            failed.append(g)
+    return WindowedFit(tuple(results), group_size, n_components, tuple(failed))

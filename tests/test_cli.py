@@ -467,6 +467,15 @@ def test_fit_group_size_zero_is_refused(tmp_path, capsys):
     assert "group_size must be >= 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("components", ["0", "-1"])
+def test_fit_nonpositive_components_is_a_config_error(tmp_path, capsys, components):
+    trace = tmp_path / "short.trace"
+    trace.write_text("\n".join(["0.01", "0.02"] * 50) + "\n")
+    for extra in ([], ["--group-size", "0"]):
+        assert main(["fit", str(trace), "--components", components] + extra) == 2
+        assert "n_components must be >= 1" in capsys.readouterr().err
+
+
 EXPERIMENT_FLAGS = {"--out", "--config", "--seed", "--eta", "--epsilon", "--window",
                     "--ptsi", "--strategy"}
 COMMAND_FLAGS = {

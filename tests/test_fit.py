@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import _oracles
+from _oracles import per_group_windowed_fit, row_major_em_fit
+from oppaccess import fit as fit_module
 from oppaccess import (
     DataError,
     HyperExpDist,
@@ -140,3 +145,128 @@ def test_windowed_fit_validation():
         windowed_fit(np.ones(100), 15, 2)  # group smaller than 10 per component
     with pytest.raises(DataError):
         windowed_fit(np.full(30, 0.5), 40, 2)
+
+
+@pytest.mark.parametrize("n_components", [0, -1])
+def test_windowed_fit_refuses_nonpositive_components(n_components):
+    # checked before the group size, which a zero component count would pass
+    for group_size in (0, 1000):
+        with pytest.raises(ValueError, match="n_components must be >= 1"):
+            windowed_fit(np.ones(2000), group_size, n_components)
+
+
+# ------------------------------------------- component-major EM vs its oracle
+
+def assert_same_fit(new, old):
+    """The component-major fit against the row-major oracle: identical
+    counts, parameters and log-likelihoods within 1e-12 relative, and a
+    history that never decreases. Log-likelihoods are relative to
+    max(1, |ll|), the scale of EM's own stopping test: a sum of log
+    densities can cancel to near 0.
+
+    The two sum over the samples in different orders, so every iteration
+    may move the parameters by a few ulp. A converged fit contracts those
+    moves; one stopped at EM_MAX_ITER can still be drifting along a flat
+    ridge of the likelihood, where they add up, so it is held to n_iter *
+    1e-15 (about 4.5 ulp per iteration) when that is wider.
+    """
+    assert (new.n_iter, new.converged, new.dist.n) == (old.n_iter, old.converged, old.dist.n)
+    assert new.dropped_components == old.dropped_components
+    assert new.merged_components == old.merged_components
+    rtol = 1e-12 if old.converged else max(1e-12, old.n_iter * 1e-15)
+    np.testing.assert_allclose(new.dist.weights, old.dist.weights, rtol=rtol, atol=0)
+    np.testing.assert_allclose(new.dist.rates, old.dist.rates, rtol=rtol, atol=0)
+    assert new.log_likelihood == pytest.approx(old.log_likelihood, rel=rtol, abs=rtol)
+    np.testing.assert_allclose(new.loglik_history, old.loglik_history, rtol=rtol, atol=rtol)
+    # the first E-step adds the same terms in the same order
+    assert new.loglik_history[0] == old.loglik_history[0]
+    assert np.all(np.diff(new.loglik_history) >= -1e-9)
+
+
+def assert_same_windowed(new, old):
+    assert new.failed_groups == old.failed_groups
+    assert len(new.results) == len(old.results)
+    for res_new, res_old in zip(new.results, old.results):
+        assert (res_new is None) == (res_old is None)
+        if res_old is not None:
+            assert_same_fit(res_new, res_old)
+
+
+@st.composite
+def spread_mixtures(draw):
+    """1-4-component mixtures whose rates span 1-4 decades."""
+    k = draw(st.integers(1, 4))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=max(k - 2, 0), max_size=max(k - 2, 0)))
+    exponents = draw(st.floats(1.0, 4.0)) * np.array(([0.0, 1.0] + inner)[:k])
+    rates = draw(st.floats(0.5, 50.0)) * 10.0 ** exponents
+    weights = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)), dtype=float)
+    return HyperExpDist(weights / weights.sum(), rates)
+
+
+@given(mixture=spread_mixtures(), n_components=st.integers(1, 4),
+       per_component=st.integers(10, 60), n_groups=st.integers(1, 12),
+       tail=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_component_major_em_agrees_with_row_major_oracle(mixture, n_components, per_component,
+                                                         n_groups, tail, seed):
+    group_size = per_component * n_components
+    x = mixture.sample(np.random.default_rng(seed), n_groups * group_size + tail)
+    assert_same_fit(em_fit(x, n_components), row_major_em_fit(x, n_components))
+    assert_same_windowed(windowed_fit(x, group_size, n_components),
+                         per_group_windowed_fit(x, group_size, n_components))
+
+
+def _drifting_samples(n_groups: int, group_size: int, seed: int) -> np.ndarray:
+    segments = tuple((group_size, HyperExpDist(np.array([a, 1.0 - a]), np.array([160.0, 3670.0])))
+                     for a in np.linspace(0.2, 0.8, n_groups))
+    return generate_nonstationary(NonstationarySchedule(segments), seed=seed).durations
+
+
+def test_batch_exit_merge():
+    # single-exponential groups fit with three components merge near-duplicates
+    x = np.random.default_rng(8).standard_exponential(6_000) / 100.0
+    new, old = windowed_fit(x, 2000, 3), per_group_windowed_fit(x, 2000, 3)
+    assert any(res.merged_components for res in new.results)
+    assert_same_windowed(new, old)
+
+
+def test_batch_exit_drop(monkeypatch):
+    # the kernel with a 1e20 rate planted, alone and as a group that leaves the batch
+    x = np.random.default_rng(8).standard_exponential(5_000) / 100.0
+    init = HyperExpDist(np.array([0.5, 0.5]), np.array([50.0, 1e20]))
+    assert_same_fit(em_fit(x, 2, init=init), row_major_em_fit(x, 2, init=init))
+
+    default_init = fit_module.default_init
+
+    def planted(samples, n_components):
+        dist = default_init(samples, n_components)
+        if samples[0] < np.median(samples):
+            return dist
+        return HyperExpDist(dist.weights, np.append(dist.rates[:-1], 1e20))
+
+    monkeypatch.setattr(fit_module, "default_init", planted)
+    monkeypatch.setattr(_oracles, "default_init", planted)
+    x = _drifting_samples(12, 500, seed=4)
+    new, old = windowed_fit(x, 500, 2), per_group_windowed_fit(x, 500, 2)
+    dropped = [res.dropped_components for res in new.results]
+    assert 0 < dropped.count(1) < len(dropped)
+    assert_same_windowed(new, old)
+
+
+def test_batch_exit_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fit_module, "EM_MAX_ITER", 4)
+    monkeypatch.setattr(_oracles, "EM_MAX_ITER", 4)
+    x = _drifting_samples(8, 1000, seed=5)
+    new, old = windowed_fit(x, 1000, 2), per_group_windowed_fit(x, 1000, 2)
+    assert all(res.n_iter == 4 and not res.converged for res in new.results)
+    assert_same_windowed(new, old)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_exit_failed_refit():
+    # the rate sums of a group of 1e308 samples overflow: every rate goes to
+    # 0, the next E-step is all NaN and the refit collapses
+    x = _drifting_samples(4, 1000, seed=6).copy()
+    x[1000:2000] = 1e308
+    new, old = windowed_fit(x, 1000, 2), per_group_windowed_fit(x, 1000, 2)
+    assert new.failed_groups == (1,)
+    assert_same_windowed(new, old)
