@@ -296,8 +296,8 @@ def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
     buffers, each from its own `default_init`. A group leaves the batch when
     it converges, or at EM_MAX_ITER iterations with ``converged=False``. A
     group in which a component would be dropped leaves the batch too and
-    is refit from the start through `em_fit`, which counts the drop. The
-    results equal one `em_fit` per group.
+    is refit from the start through `em_fit`, which counts the drop. Each
+    group's result equals, bit for bit, `em_fit` on that group alone.
 
     Returns results in group order; a group whose fit raises is recorded as
     None and listed in ``failed_groups``. Trailing samples that do not fill
@@ -322,7 +322,7 @@ def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
     refit = []
     active = np.arange(n_groups)
     rows = chunks
-    ll_prev = None
+    ll_prev = np.full(n_groups, np.nan)  # compares False: no stop at iteration 1
     it = 0
     while active.size:
         it += 1
@@ -333,8 +333,7 @@ def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
             history = np.concatenate([history, np.empty_like(history)])
         history[it - 1, active] = ll
         alive = np.all(mass > group_size * 1e-15, axis=0)
-        converged = (np.zeros(active.size, dtype=bool) if ll_prev is None
-                     else _converged(ll, ll_prev))
+        converged = _converged(ll, ll_prev)
         done = alive & (converged | (it == EM_MAX_ITER))
         for j in np.flatnonzero(done):
             results[active[j]] = _fit_result(

@@ -211,8 +211,16 @@ def test_component_major_em_agrees_with_row_major_oracle(mixture, n_components, 
     group_size = per_component * n_components
     x = mixture.sample(np.random.default_rng(seed), n_groups * group_size + tail)
     assert_same_fit(em_fit(x, n_components), row_major_em_fit(x, n_components))
-    assert_same_windowed(windowed_fit(x, group_size, n_components),
-                         per_group_windowed_fit(x, group_size, n_components))
+    batched = windowed_fit(x, group_size, n_components)
+    assert_same_windowed(batched, per_group_windowed_fit(x, group_size, n_components))
+    # the batch runs the same kernel as em_fit, one row per group: equal bits
+    for g, res in enumerate(batched.results):
+        if res is not None:
+            alone = em_fit(x[g * group_size:(g + 1) * group_size], n_components)
+            assert res.n_iter == alone.n_iter
+            assert np.array_equal(res.loglik_history, alone.loglik_history)
+            assert np.array_equal(res.dist.weights, alone.dist.weights)
+            assert np.array_equal(res.dist.rates, alone.dist.rates)
 
 
 def _drifting_samples(n_groups: int, group_size: int, seed: int) -> np.ndarray:
