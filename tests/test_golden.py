@@ -2,8 +2,9 @@
 exactly (`==` on floats, bytes on reports) against files recorded from the
 code before the strategy constructions were rebuilt on shared kernels; the
 plain and the windowed `fit` report of a drifting capture, recorded from the
-row-major, group-by-group EM; and sha256 digests of generated traces (per model, size and seed) and of trace
-files, recorded from the per-cycle generator and line-by-line trace I/O.
+row-major, group-by-group EM; and sha256 digests of generated traces (per
+model, size and seed) and of trace files, recorded from the per-cycle
+generator and line-by-line trace I/O.
 The generator's output per seed is a compatibility contract: every report
 claims to be reproducible from its embedded config and seed.
 
