@@ -11,6 +11,7 @@ a < X <= b.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ from .strategies import FULL, STAT, Strategy
 
 DEFAULT_WINDOW = 100
 SE_BATCH = 1000
+# cycles per block of the episode passes in `run`: temporaries stay small
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,13 @@ class SimResult:
     outage_prob: float | None = None
 
 
-def _context_ids(trace: IdleTrace, strategy: Strategy, source, rng) -> tuple[np.ndarray, int | None]:
+def _contexts(trace: IdleTrace, strategy: Strategy, source, rng) -> tuple[np.ndarray | None, int | None]:
+    """The labels the context of cycle t is read from, and the drawn first
+    context: none in stat mode; in full mode cycle t's own label; in markov
+    mode the previous cycle's label, after the first context drawn from
+    `source`."""
     if strategy.mode == STAT:
-        return np.zeros(trace.n, dtype=np.int64), None
+        return None, None
     if trace.states is None:
         raise DataError(
             f"{strategy.mode}-mode strategies need state labels, trace has none")
@@ -62,14 +69,37 @@ def _context_ids(trace: IdleTrace, strategy: Strategy, source, rng) -> tuple[np.
             f"trace state {int(trace.states.max())} out of range for "
             f"{strategy.n_contexts} strategy contexts")
     if strategy.mode == FULL:
-        return trace.states.astype(np.int64), None
+        return trace.states, None
     if not isinstance(source, SmmppModel):
         raise ModelError("markov mode needs the model to draw the initial conditioning state")
-    first = _initial_state(source, rng)
-    ctx = np.empty(trace.n, dtype=np.int64)
-    ctx[0] = first
-    ctx[1:] = trace.states[:-1]
-    return ctx, first
+    if source.n != strategy.n_contexts:
+        raise ModelError(
+            f"markov strategy has {strategy.n_contexts} contexts but the source "
+            f"model has {source.n} states")
+    return trace.states, _initial_state(source, rng)
+
+
+def _block_contexts(states: np.ndarray, first: int | None, lo: int, hi: int) -> np.ndarray:
+    """Context ids of cycles [lo, hi) (see `_contexts`)."""
+    if first is None:
+        return states[lo:hi]
+    if lo:
+        return states[lo - 1:hi - 1]
+    return np.concatenate(([first], states[:hi - 1]))
+
+
+def _check_window(window) -> int:
+    if (isinstance(window, (bool, np.bool_)) or not isinstance(window, numbers.Real)
+            or window % 1 != 0):
+        raise ValueError(f"window must be an integer, got {window!r}")
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    return int(window)
+
+
+def _check_eta(eta) -> None:
+    if eta is not None and math.isnan(eta):
+        raise ValueError("eta must not be NaN")
 
 
 def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
@@ -80,29 +110,59 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
     drawn from its stationary law). Episode transmit probabilities below 1
     consume one Bernoulli draw per episode per cycle from the seeded
     stream, so identical (trace, strategy, seed) reproduce exactly.
+
+    Episodes are played depth by depth: pass j gathers every cycle's j-th
+    episode by context id, in blocks of `_BLOCK` cycles, and adds its access
+    after pass j-1's, so each cycle sums its episodes in schedule order.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = _check_window(window)
+    _check_eta(eta)
     rng = np.random.default_rng(seed)
-    ctx_ids, first_context = _context_ids(trace, strategy, source, rng)
+    states, first_context = _contexts(trace, strategy, source, rng)
     x = trace.durations
     n = trace.n
+    depth = max(map(len, strategy.episodes))
+    # padding: no duration exceeds an infinite start
+    starts = np.full((depth, strategy.n_contexts), np.inf)
+    ends = np.full_like(starts, np.inf)
+    gates = [None] * depth
+    for c, episodes in enumerate(strategy.episodes):
+        for j, ep in enumerate(episodes):
+            starts[j, c], ends[j, c] = ep.start, ep.end
+            if ep.prob < 1.0:
+                # the draw gates only context c's cycles in pass j
+                draw = rng.random(n) < ep.prob
+                if states is None:
+                    gates[j] = draw
+                else:
+                    if gates[j] is None:
+                        gates[j] = np.ones(n, dtype=bool)
+                    np.copyto(gates[j], draw,
+                              where=_block_contexts(states, first_context, 0, n) == c)
     access = np.zeros(n)
     collided = np.zeros(n, dtype=bool)
-    for c, episodes in enumerate(strategy.episodes):
-        in_ctx = ctx_ids == c
-        for ep in episodes:
-            if ep.prob < 1.0:
-                active = in_ctx & (rng.random(n) < ep.prob)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        xb, ab, cb = x[lo:hi], access[lo:hi], collided[lo:hi]
+        ctx = None if states is None else _block_contexts(states, first_context, lo, hi)
+        for j in range(depth):
+            if ctx is None:
+                s, e = starts[j, 0], ends[j, 0]
             else:
-                active = in_ctx
-            started = active & (x > ep.start)
-            if math.isinf(ep.end):
-                access[started] += x[started] - ep.start
-                collided[started] = True
-            else:
-                access[started] += np.minimum(x[started], ep.end) - ep.start
-                collided[started] |= x[started] <= ep.end
+                s, e = starts[j].take(ctx), ends[j].take(ctx)
+            # min(x, e) - s where x > s, else 0.0: a cycle's access adds
+            # exact zeros for the episodes it never reaches
+            part = np.minimum(xb, e, out=None if j else ab)
+            part -= s
+            np.maximum(part, 0.0, out=part)
+            hit = np.greater(xb, s, out=None if j else cb)
+            hit &= xb <= e
+            if gates[j] is not None:
+                part *= gates[j][lo:hi]
+                hit &= gates[j][lo:hi]
+            if j:
+                ab += part
+                cb |= hit
     total = float(access.sum())
     count = int(collided.sum())
     window_collisions = _window_sums(collided, window)
@@ -144,9 +204,8 @@ def _batch_se(values: np.ndarray) -> float:
 def outage(result: SimResult, eta: float, window: int | None = None) -> float:
     """Fraction of full fixed-size windows whose collision rate strictly
     exceeds the budget."""
-    w = result.window if window is None else int(window)
-    if w < 1:
-        raise ValueError("window must be >= 1")
+    w = result.window if window is None else _check_window(window)
+    _check_eta(eta)
     counts = _window_sums(result.collided, w)
     if not counts.size:
         raise DataError(f"trace too short for a single window of {w} cycles")

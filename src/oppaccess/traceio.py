@@ -21,34 +21,153 @@ TRACE_HEADER = "# oppaccess-trace v1"
 _SEGMENT_PREFIX = "# segment: cycle="
 
 # cycles formatted per write, and characters parsed per np.loadtxt call
-_WRITE_CHUNK = 1 << 16
+_WRITE_CHUNK = 1 << 14
 _READ_CHUNK = 1 << 16
 # printable ASCII, tab and newline: the only characters the fast reader takes
 _PLAIN = bytes(range(32, 127)) + b"\t\n"
 _COLUMNS = (("duration", np.float64), ("state", np.int64))
 
+# `_format`: the exact powers of ten, the widest `%.12g` of a positive
+# double ("1.79769313486e+308"), the bytes a layout takes besides mantissa
+# digits (padded to whole uint32s), and the four digits and the trailing
+# zeros of each integer below 10**4
+_POW10 = np.array([float(10**k) for k in range(23)])
+_VALUE_WIDTH = 18
+_GLYPHS = b".e+-0123456789\0\0"
+_DIGITS4 = np.frombuffer("".join(map("{:04d}".format, range(10**4))).encode(), dtype=np.uint32)
+_ZEROS4 = np.array([len(s) - len(s.rstrip("0")) for s in map("{:04d}".format, range(10**4))])
+
 
 def write_trace(trace: IdleTrace, path, extra_header: list[str] | None = None) -> None:
     """Write a trace; deterministic byte-for-byte for equal inputs.
 
-    Durations are written as `%.12g`; the file is streamed in chunks of
-    cycles, so it is never held in memory whole.
+    Durations are written as `%.12g` (see `_format`); the file is streamed
+    in chunks of cycles, so it is never held in memory whole. Each
+    `extra_header` entry is one comment line: it starts with `#`, holds no
+    line break and is no segment marker, so the file reads back as written.
     """
+    for line in extra_header or []:
+        if (not isinstance(line, str) or not line.startswith("#")
+                or line.startswith(_SEGMENT_PREFIX) or line.splitlines() != [line]):
+            raise ValueError(
+                f"extra header lines must be single `#` comment lines that are not "
+                f"segment markers, got {line!r}")
     edges = list(trace.boundaries) + [trace.n]
-    with open(path, "w") as fh:
-        fh.write("\n".join([TRACE_HEADER, *(extra_header or [])]) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join([TRACE_HEADER, *(extra_header or [])]) + "\n").encode())
         for lo, hi in zip(edges, edges[1:]):
             if lo:
-                fh.write(f"{_SEGMENT_PREFIX}{lo}\n")
+                fh.write(f"{_SEGMENT_PREFIX}{lo}\n".encode())
             for start in range(lo, hi, _WRITE_CHUNK):
                 stop = min(start + _WRITE_CHUNK, hi)
-                durations = trace.durations[start:stop].tolist()
-                if trace.states is None:
-                    lines = map("{:.12g}".format, durations)
-                else:
-                    labels = (trace.states[start:stop] + 1).tolist()
-                    lines = map("{:.12g},{}".format, durations, labels)
-                fh.write("\n".join(lines) + "\n")
+                labels = None if trace.states is None else trace.states[start:stop] + 1
+                fh.write(_format(trace.durations[start:stop], labels))
+
+
+def _format_classes():
+    """Tables of the `%.12g` layout for each decimal exponent e in [-11, 33]
+    (row e + 11): the source of each byte (0-11 a mantissa digit, from 12 a
+    byte of `_GLYPHS`); the bytes kept when the part before the exponent
+    keeps k bytes (row 19 (e + 11) + k); that part's length; and how many
+    mantissa digits are fraction digits."""
+    point, exp, plus, minus, digit0 = (12 + _GLYPHS.index(c) for c in b".e+-0")
+    pos = np.arange(_VALUE_WIDTH)
+    sources, keeps, body, fraction = [], [], [], []
+    for e in range(-11, 34):
+        digits = list(range(12))
+        suffix = []
+        if 0 <= e <= 11:
+            layout = digits[:e + 1] + [point] * (e < 11) + digits[e + 1:]
+            fraction.append(11 - e)
+        elif -4 <= e < 0:
+            layout = [digit0, point] + [digit0] * (-e - 1) + digits
+            fraction.append(12)
+        else:
+            layout = [0, point] + digits[1:]
+            suffix = [exp, plus if e > 0 else minus, digit0 + abs(e) // 10, digit0 + abs(e) % 10]
+            fraction.append(11)
+        body.append(len(layout))
+        sources.append(layout + suffix + [point] * (_VALUE_WIDTH - len(layout) - len(suffix)))
+        in_suffix = (pos >= len(layout)) & (pos < len(layout) + len(suffix))
+        keeps.append([(pos < kept) | in_suffix for kept in range(_VALUE_WIDTH + 1)])
+    return (np.array(sources, dtype=np.int32), np.array(keeps).reshape(-1, _VALUE_WIDTH),
+            np.array(body), np.array(fraction))
+
+
+def _format(durations: np.ndarray, labels: np.ndarray | None) -> bytes:
+    """The lines `"{:.12g}".format(d)` or, with labels, `"{:.12g},{}".format(d, label)`,
+    each ended by a newline, as ASCII bytes.
+
+    With e = floor(log10 d), d is scaled by the exact power 10**(11 - e) in one
+    rounding and split into an integer mantissa and a remainder; rounding half
+    up on the remainder gives the 12 significant digits `%.12g` rounds to,
+    and e picks the notation (fixed for -4 <= e <= 11, else scientific).
+    Rows where that can differ from Python's formatting go through it
+    instead: the remainder lies within 5e-4 of a tie (the one rounding
+    moves the scaled value by at most 6.1e-5, and never across a tie), the
+    mantissa falls outside [10**11, 10**12) (log10 was off by one or the
+    rounding carried), or |11 - e| > 22 (the power is inexact, or the
+    exponent has three digits). The bytes of each row are laid out at fixed
+    width with a keep-mask, and one compress joins them.
+    """
+    n = durations.size
+    e = np.floor(np.log10(durations)).astype(np.int64)
+    shift = 11 - e
+    slow = np.abs(shift) > 22
+    np.clip(shift, -22, 22, out=shift)
+    scaled = durations * _POW10[np.maximum(shift, 0)]
+    scaled /= _POW10[np.maximum(-shift, 0)]
+    np.minimum(scaled, 1e13, out=scaled)  # keeps the slow rows within int64
+    mantissa = scaled.astype(np.int64)
+    remainder = scaled - mantissa
+    slow |= mantissa < 10**11
+    slow |= np.abs(remainder - 0.5) < 5e-4
+    mantissa += remainder > 0.5
+    slow |= mantissa >= 10**12
+    # the mantissa's digits in three groups of four, then the glyphs, per row
+    alphabet = np.empty((n, (12 + len(_GLYPHS)) // 4), dtype=np.uint32)
+    high, rest = np.divmod(mantissa, 10**8)
+    mid, low = np.divmod(rest, 10**4)
+    trailing_zeros = _ZEROS4.take(low) + (low == 0) * (
+        _ZEROS4.take(mid) + (mid == 0) * _ZEROS4.take(high, mode="clip"))
+    for col, group in enumerate((high, mid, low)):
+        alphabet[:, col] = _DIGITS4.take(group, mode="clip")
+    alphabet[:, 3:] = np.frombuffer(_GLYPHS, dtype=np.uint32)
+    cls = np.clip(e + 11, 0, len(_FORMAT_BODY) - 1)
+    fraction = _FORMAT_FRACTION[cls]
+    # strip trailing fraction zeros, and the point when no fraction is left
+    kept = _FORMAT_BODY[cls] - np.where(trailing_zeros >= fraction,
+                                        fraction + (fraction > 0), trailing_zeros)
+    width = _VALUE_WIDTH + 1
+    if labels is not None:
+        label_width = len(str(int(labels.max())))
+        powers = 10 ** np.arange(label_width - 1, -1, -1)
+        width += 1 + label_width
+    out = np.empty((n, width), dtype=np.uint8)
+    keep = np.empty((n, width), dtype=bool)
+    sources = _FORMAT_SOURCES.take(cls, axis=0)
+    sources += np.arange(0, alphabet.nbytes, alphabet.itemsize * alphabet.shape[1],
+                         dtype=np.int32)[:, None]
+    out[:, :_VALUE_WIDTH] = alphabet.view(np.uint8).ravel().take(sources)
+    keep[:, :_VALUE_WIDTH] = _FORMAT_KEEP.take(cls * (_VALUE_WIDTH + 1) + kept, axis=0)
+    if labels is not None:
+        out[:, _VALUE_WIDTH] = ord(",")
+        keep[:, _VALUE_WIDTH] = True
+        column = labels[:, None]
+        out[:, _VALUE_WIDTH + 1:-1] = column // powers % 10 + ord("0")
+        keep[:, _VALUE_WIDTH + 1:-1] = (column >= powers) | (powers == 1)
+    out[:, -1] = ord("\n")
+    keep[:, -1] = True
+    rows = np.flatnonzero(slow)
+    if rows.size:
+        text = np.array(list(map("{:.12g}".format, durations[rows].tolist())),
+                        dtype=f"S{_VALUE_WIDTH}").view(np.uint8).reshape(rows.size, -1)
+        out[rows, :_VALUE_WIDTH] = text
+        keep[rows, :_VALUE_WIDTH] = text != 0
+    return np.compress(keep.ravel(), out.ravel()).tobytes()
+
+
+_FORMAT_SOURCES, _FORMAT_KEEP, _FORMAT_BODY, _FORMAT_FRACTION = _format_classes()
 
 
 def read_trace(path) -> IdleTrace:

@@ -5,8 +5,8 @@ slotted allocator brute-forces the budgeted maximization on a discrete
 grid, the high-precision density uses decimal arithmetic, the trace
 generator walks the chain one cycle at a time, and the cross-state optimal
 threshold search solves each previous state's row on its own by bisection,
-and the EM fit runs on sample-major (N, K) arrays, one window group after
-the other. The two small-eta closed forms live here because only the tests
+the EM fit runs on sample-major (N, K) arrays, one window group after
+the other, and the simulator plays one (context, episode) pair at a time. The two small-eta closed forms live here because only the tests
 use them.
 """
 
@@ -26,10 +26,13 @@ from oppaccess.fit import (
     _validate_samples,
     default_init,
 )
+from oppaccess.smmpp import _initial_state
 from oppaccess.strategies import (
     COLLISION_TOL,
     DEFAULT_EPSILON,
+    FULL,
     MARKOV,
+    STAT,
     _check_eta,
     _context_laws,
     _episodes_from_taus,
@@ -343,3 +346,40 @@ def per_group_windowed_fit(samples, group_size: int, n_components: int) -> Windo
             results.append(None)
             failed.append(g)
     return WindowedFit(tuple(results), group_size, n_components, tuple(failed))
+
+
+def per_episode_run(trace, strategy, source=None, seed=0):
+    """`access`, `collided` and `first_context` of `simulate.run`, one
+    (context, episode) pair at a time over masks of the whole trace, with
+    the draws in `run`'s order: the first context, then one `rng.random(n)`
+    per episode with probability below 1, context by context."""
+    rng = np.random.default_rng(seed)
+    n = trace.n
+    first = None
+    if strategy.mode == STAT:
+        ctx_ids = np.zeros(n, dtype=np.int64)
+    elif strategy.mode == FULL:
+        ctx_ids = trace.states.astype(np.int64)
+    else:
+        first = _initial_state(source, rng)
+        ctx_ids = np.empty(n, dtype=np.int64)
+        ctx_ids[0] = first
+        ctx_ids[1:] = trace.states[:-1]
+    x = trace.durations
+    access = np.zeros(n)
+    collided = np.zeros(n, dtype=bool)
+    for c, episodes in enumerate(strategy.episodes):
+        in_ctx = ctx_ids == c
+        for ep in episodes:
+            if ep.prob < 1.0:
+                active = in_ctx & (rng.random(n) < ep.prob)
+            else:
+                active = in_ctx
+            started = active & (x > ep.start)
+            if math.isinf(ep.end):
+                access[started] += x[started] - ep.start
+                collided[started] = True
+            else:
+                access[started] += np.minimum(x[started], ep.end) - ep.start
+                collided[started] |= x[started] <= ep.end
+    return access, collided, first

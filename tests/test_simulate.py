@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oppaccess import (
     DataError,
@@ -29,6 +32,10 @@ from oppaccess import (
     stat_one_shot,
     stat_optimal,
 )
+from oppaccess import simulate
+from oppaccess.simulate import _batch_se
+
+from _oracles import per_episode_run
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +125,15 @@ def test_markov_mode_needs_labels_and_model(three_state_model, three_rate_mixtur
         run(labelled, s, source=None, seed=0)
 
 
+def test_markov_source_must_match_contexts(two_state_model, three_state_model):
+    # a 3-state source would draw first context 2, which no 2-context
+    # strategy has
+    trace = generate(two_state_model, 1000, seed=1)
+    s = markov_optimal(two_state_model, 0.1)
+    with pytest.raises(ModelError, match="2 contexts.*3 states"):
+        run(trace, s, source=three_state_model, seed=4)
+
+
 def test_full_mode_needs_labels(three_state_model):
     bare = IdleTrace(np.full(1000, 0.01))
     s = full_balanced(three_state_model, 0.1)
@@ -160,6 +176,16 @@ def test_outage_recomputable_at_other_windows(three_rate_mixture, medium_trace):
     assert 0.0 <= alt <= 1.0
     with pytest.raises(DataError):
         outage(res, 0.1, window=10**9)
+    assert outage(res, 0.1, window=100.0) == res.outage_prob
+    for window in (2.5, True, np.bool_(True), "3", math.nan):
+        with pytest.raises(ValueError, match="window"):
+            outage(res, 0.1, window=window)
+        with pytest.raises(ValueError, match="window"):
+            run(medium_trace, s, seed=2, window=window)
+    with pytest.raises(ValueError, match="eta"):
+        outage(res, math.nan)
+    with pytest.raises(ValueError, match="eta"):
+        run(medium_trace, s, seed=2, eta=math.nan)
 
 
 def test_outage_under_weight_drift():
@@ -216,3 +242,50 @@ def test_compare_on_drifted_traffic_shows_robustness_gap():
     rows = {r.name: r for r in compare(strategies, trace, eta=0.1, seed=5)}
     assert rows["stat_optimal"].collision_prob > 0.1
     assert rows["multiple_shot"].collision_prob <= 0.1 + 3 * rows["multiple_shot"].result.collision_se
+
+
+# a bound is sometimes a duration, so both `x == start` and `x == end` occur
+BOUNDS = st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.1, 0.3, 1.0, 2.0])
+
+
+@st.composite
+def episode_lists(draw):
+    """0-3 sorted, disjoint episodes, the last possibly endless, some
+    entered with probability below 1."""
+    count = draw(st.integers(0, 3))
+    points = sorted(draw(st.sets(BOUNDS, min_size=2 * count, max_size=2 * count)))
+    if count and draw(st.booleans()):
+        points[-1] = math.inf
+    probs = draw(st.lists(st.sampled_from([1.0, 1.0, 0.5, 0.9]), min_size=count, max_size=count))
+    return tuple(Episode(points[2 * i], points[2 * i + 1], p) for i, p in enumerate(probs))
+
+
+@st.composite
+def simulations(draw):
+    mode = draw(st.sampled_from(["stat", "markov", "full"]))
+    k = 1 if mode == "stat" else draw(st.integers(1, 4))
+    strategy = Strategy(mode, tuple(draw(episode_lists()) for _ in range(k)), "random")
+    n = draw(st.integers(1, 40))
+    durations = draw(st.lists(st.one_of(BOUNDS.filter(bool), st.floats(1e-4, 5.0)),
+                              min_size=n, max_size=n))
+    states = None if mode == "stat" and draw(st.booleans()) else np.array(
+        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    source = SmmppModel(np.arange(1.0, k + 1), np.full((k, k), 1.0 / k))
+    return IdleTrace(np.array(durations), states), strategy, source
+
+
+@given(simulations(), st.integers(0, 2**32), st.integers(1, 9))
+def test_run_agrees_with_per_episode_oracle(sim, seed, block):
+    # the depth-pass kernel against one (context, episode) pair at a time;
+    # small blocks put block edges inside short traces
+    trace, strategy, source = sim
+    with mock.patch.object(simulate, "_BLOCK", block):
+        res = run(trace, strategy, source=source, seed=seed, window=1)
+    access, collided, first = per_episode_run(trace, strategy, source=source, seed=seed)
+    assert res.access.tobytes() == access.tobytes()
+    assert np.array_equal(res.collided, collided)
+    assert res.first_context == first
+    assert res.total_access == float(access.sum())
+    for got, want in ((res.capacity_se, _batch_se(access)),
+                      (res.collision_se, _batch_se(collided.astype(float)))):
+        assert got == want or (math.isnan(got) and math.isnan(want))

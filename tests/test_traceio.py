@@ -1,5 +1,7 @@
+import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,17 @@ def test_round_trip_without_labels(tmp_path):
     assert back.states is None
     assert np.allclose(back.durations, trace.durations)
     assert _parse_plain(path.read_text()) is not None
+
+
+@pytest.mark.parametrize("line", ["note", "# a\n0.5,1", "# segment: cycle=1", "# a\n",
+                                  "# a\x0c0.5,1", "", None])
+def test_write_refuses_header_lines_that_do_not_read_back(tmp_path, line):
+    # a line without `#` is unreadable, a line break injects a cycle and a
+    # segment marker a boundary
+    path = tmp_path / "t.trace"
+    with pytest.raises(ValueError, match="header"):
+        write_trace(IdleTrace(np.array([0.1, 0.2, 0.3])), path, extra_header=["# ok", line])
+    assert not path.exists()
 
 
 def test_read_errors_name_the_line(tmp_path):
@@ -167,3 +180,64 @@ def trace_texts(draw):
 def test_fast_reader_never_disagrees_with_line_parser(text):
     fast = _outcome(lambda: _parse_plain(text))
     assert fast is None or fast == _outcome(lambda: _parse_lines(text, "t"))
+
+
+def _expected_text(trace, header):
+    """The file `write_trace` writes, one `"{:.12g}".format` call per cycle."""
+    lines = ["# oppaccess-trace v1", *header]
+    labels = [None] * trace.n if trace.states is None else (trace.states + 1).tolist()
+    for t, (d, label) in enumerate(zip(trace.durations.tolist(), labels)):
+        if t and t in trace.boundaries:
+            lines.append(f"# segment: cycle={t}")
+        lines.append("{:.12g}".format(d) + ("" if label is None else f",{label}"))
+    return "\n".join(lines) + "\n"
+
+
+def _neighbours(x):
+    return st.sampled_from([np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)])
+
+
+# 12-digit mantissas followed by a 5: the doubles nearest to a tie between
+# two outputs, around the exponents the vectorised path takes
+NEAR_TIES = st.builds("{}5e{}".format, st.integers(10**11, 10**12 - 1),
+                      st.integers(-26, 24)).map(float)
+DOUBLES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.builds("{!r}e{}".format, st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(-30, 45)).map(float),
+    st.integers(-323, 308).map("1e{}".format).map(float).flatmap(_neighbours),
+    NEAR_TIES.flatmap(_neighbours),
+    st.sampled_from([1e-5, 1e-4, 1e11, 1e12]).flatmap(
+        lambda edge: st.floats(edge * (1 - 1e-11), edge * (1 + 1e-11))),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+).filter(lambda x: 0.0 < x < math.inf)
+
+
+@given(st.lists(st.tuples(DOUBLES, st.integers(1, 2**62)), min_size=1, max_size=40),
+       st.booleans())
+def test_format_agrees_with_python(rows, labelled):
+    durations = np.array([d for d, _ in rows])
+    labels = np.array([label for _, label in rows]) if labelled else None
+    expected = "".join("{:.12g}".format(d) + (f",{label}" if labelled else "") + "\n"
+                       for d, label in rows)
+    assert traceio._format(durations, labels) == expected.encode()
+
+
+@given(st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=30), st.booleans(),
+       st.lists(st.integers(1, 29), max_size=4), st.integers(1, 7), st.data())
+def test_write_trace_agrees_with_python(tmp_path_factory, durations, labelled, cuts, chunk,
+                                        data):
+    # labels up to 12 digits, segments and chunk edges in any arrangement
+    n = len(durations)
+    states = None
+    if labelled:
+        states = np.array(data.draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n)))
+    trace = IdleTrace(np.array(durations), states,
+                      tuple(sorted({0} | {c for c in cuts if c < n})))
+    path = tmp_path_factory.mktemp("write") / "t.trace"
+    with mock.patch.object(traceio, "_WRITE_CHUNK", chunk):
+        write_trace(trace, path, extra_header=["# note"])
+    assert path.read_bytes() == _expected_text(trace, ["# note"]).encode()
+    back = read_trace(path)
+    assert back.boundaries == trace.boundaries
+    assert (back.states is None) == (states is None)
