@@ -34,8 +34,9 @@ _COLUMNS = (("duration", np.float64), ("state", np.int64))
 _POW10 = np.array([float(10**k) for k in range(23)])
 _VALUE_WIDTH = 18
 _GLYPHS = b".e+-0123456789\0\0"
-_DIGITS4 = np.frombuffer("".join(map("{:04d}".format, range(10**4))).encode(), dtype=np.uint32)
-_ZEROS4 = np.array([len(s) - len(s.rstrip("0")) for s in map("{:04d}".format, range(10**4))])
+_DIGITS4 = (np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(
+    np.uint8).view(np.uint32).ravel()
+_ZEROS4 = sum(np.arange(10**4) % 10**k == 0 for k in range(1, 5))
 
 
 def write_trace(trace: IdleTrace, path, extra_header: list[str] | None = None) -> None:
@@ -89,7 +90,7 @@ def _format_classes():
         body.append(len(layout))
         sources.append(layout + suffix + [point] * (_VALUE_WIDTH - len(layout) - len(suffix)))
         in_suffix = (pos >= len(layout)) & (pos < len(layout) + len(suffix))
-        keeps.append([(pos < kept) | in_suffix for kept in range(_VALUE_WIDTH + 1)])
+        keeps.append((pos < np.arange(_VALUE_WIDTH + 1)[:, None]) | in_suffix)
     return (np.array(sources, dtype=np.int32), np.array(keeps).reshape(-1, _VALUE_WIDTH),
             np.array(body), np.array(fraction))
 
