@@ -67,7 +67,16 @@ class HyperExpDist:
         return self.rates.size
 
     def _decay(self, t, coef: np.ndarray):
-        """sum(coef_i * exp(-lam_i t)) at nonnegative times t."""
+        """sum(coef_i * exp(-lam_i t)) at nonnegative times t.
+
+        A float time (what `solve_root` passes) skips the array conversion
+        and check; the product, exp and dot are the array path's, so both
+        give the same bits.
+        """
+        if isinstance(t, float):
+            if t < 0:
+                raise ValueError("time must be nonnegative")
+            return float(np.exp(-(t * self.rates)) @ coef)
         out = np.exp(-np.multiply.outer(_as_time_array(t), self.rates)) @ coef
         return out if out.ndim else float(out)
 

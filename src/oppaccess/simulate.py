@@ -109,7 +109,10 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
     ``source`` is only consulted in markov mode (initial conditioning state
     drawn from its stationary law). Episode transmit probabilities below 1
     consume one Bernoulli draw per episode per cycle from the seeded
-    stream, so identical (trace, strategy, seed) reproduce exactly.
+    stream, so identical (trace, strategy, seed) reproduce exactly. With
+    ``eta`` given, a trace shorter than one window has no outage figure and
+    is refused (DataError) before anything is simulated, as `outage`
+    refuses it.
 
     Episodes are played depth by depth: pass j gathers every cycle's j-th
     episode by context id, in blocks of `_BLOCK` cycles, and adds its access
@@ -117,6 +120,8 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
     """
     window = _check_window(window)
     _check_eta(eta)
+    if eta is not None and trace.n < window:
+        raise DataError(f"trace too short for a single window of {window} cycles")
     rng = np.random.default_rng(seed)
     states, first_context = _contexts(trace, strategy, source, rng)
     x = trace.durations
@@ -167,7 +172,7 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
     count = int(collided.sum())
     window_collisions = _window_sums(collided, window)
     outage_prob = None
-    if eta is not None and window_collisions.size:
+    if eta is not None:
         outage_prob = float(np.mean(window_collisions / window > eta))
     return SimResult(
         n_cycles=n,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,13 @@ class SmmppModel:
     @property
     def n(self) -> int:
         return self.rates.size
+
+    @cached_property
+    def _laws(self) -> dict:
+        """Context laws by strategy mode, filled on first use by
+        `strategies._context_laws`. The laws are immutable, so every
+        construction and prediction on this model shares them."""
+        return {}
 
     @classmethod
     def from_mixture(cls, dist: HyperExpDist) -> "SmmppModel":

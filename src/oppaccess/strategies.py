@@ -165,23 +165,27 @@ def _episode_metrics(weights: np.ndarray, rates: np.ndarray,
     return cap, col
 
 
-def _context_laws(mode: str, source) -> list[tuple[float, HyperExpDist]]:
+def _context_laws(mode: str, source) -> tuple[tuple[float, HyperExpDist], ...]:
     """(stationary weight, idle-time law) of each context a `mode` strategy
     conditions on: the marginal law for stat, the next-idle law given the
-    previous state for markov, the current state's exponential for full."""
-    if mode == STAT:
-        if isinstance(source, SmmppModel):
-            return [(1.0, source.marginal_dist())]
-        if isinstance(source, HyperExpDist):
-            return [(1.0, source)]
-        raise ModelError(f"unsupported source {type(source).__name__}")
+    previous state for markov, the current state's exponential for full.
+    A model's laws are built once per mode and kept in its `_laws` cache."""
+    if mode == STAT and isinstance(source, HyperExpDist):
+        return ((1.0, source),)
     if not isinstance(source, SmmppModel):
+        if mode == STAT:
+            raise ModelError(f"unsupported source {type(source).__name__}")
         raise ModelError(f"{mode}-mode strategies need an SmmppModel source")
-    if mode == MARKOV:
-        laws = [source.conditional_next_dist(i) for i in range(source.n)]
-    else:
-        laws = [exponential(rate) for rate in source.rates]
-    return [(float(a), law) for a, law in zip(source.steady, laws)]
+    laws = source._laws.get(mode)
+    if laws is None:
+        if mode == STAT:
+            laws = ((1.0, source.marginal_dist()),)
+        else:
+            dists = ([source.conditional_next_dist(i) for i in range(source.n)] if mode == MARKOV
+                     else [exponential(rate) for rate in source.rates])
+            laws = tuple((float(a), law) for a, law in zip(source.steady, dists))
+        source._laws[mode] = laws
+    return laws
 
 
 def predict(strategy: Strategy, source) -> StrategyPrediction:
@@ -527,8 +531,15 @@ def multiple_shot(rates, eta: float, epsilon: float = DEFAULT_EPSILON) -> Strate
     """Rate-only robust schedule: a short shot sized for the fastest rate,
     then for each slower rate a confidence wait (survival below epsilon
     rules the faster rate out) followed by another shot sized for that
-    rate. Mixture weights never enter, so the collision probability stays
-    below eta whichever way the weights drift.
+    rate. Mixture weights never enter the schedule, so its collision
+    bound holds whichever way the weights drift: with ascending rates
+    r_1 < ... < r_K, a pure component k collides with probability at most
+    eta + sum_{i>k} (r_k / r_i) log(1/(1-eta)) + (k-1) epsilon (its own
+    shot spends eta, each faster shot before it at most the share
+    r_k / r_i, each slower shot after it at most epsilon), and a mixture
+    at most the largest of these. That bound exceeds eta, and so can the
+    collision: on weights piled on the slowest rate, or with epsilon far
+    above eta.
     """
     _check_eta(eta)
     r = np.atleast_1d(np.asarray(rates, dtype=float))

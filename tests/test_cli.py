@@ -424,6 +424,19 @@ def test_missing_trace_file_exits_3(tmp_path):
     assert main(["eval", "--config", cfg]) == 3
 
 
+def test_trace_shorter_than_one_window_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": THREE_STATE,
+        "trace": {"generate": {"cycles": 50, "seed": 0}},
+        "strategy": {"name": "stat_optimal", "eta": 0.1},
+    })
+    assert main(["eval", "--config", cfg, "--window", "100"]) == 3
+    assert "single window of 100 cycles" in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg, "--eta", "0.1", "--simulate"]) == 3
+    assert main(["eval", "--config", cfg, "--window", "50",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_round_trip_generate_then_fit(tmp_path):
     cfg = write_config(tmp_path, {
         "model": {"rates": [160.0, 3670.0], "weights": [0.32, 0.68]},

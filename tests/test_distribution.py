@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from oppaccess import HyperExpDist, exponential
@@ -166,3 +168,32 @@ def test_record_round_trip(two_rate_mixture):
     back = HyperExpDist.from_record(rec)
     assert np.allclose(back.weights, two_rate_mixture.weights)
     assert np.allclose(back.rates, two_rate_mixture.rates)
+
+
+@st.composite
+def mixtures(draw):
+    k = draw(st.integers(1, 5))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    rates = np.array(draw(st.lists(st.floats(1e-3, 1e6), min_size=k, max_size=k)))
+    return HyperExpDist(weights / weights.sum(), rates)
+
+
+TIMES = st.one_of(st.sampled_from([0.0, math.inf, 1e300]), st.floats(0.0, 1e300),
+                  st.floats(0.0, 10.0))
+
+
+@given(dist=mixtures(), t=TIMES)
+def test_float_time_matches_array_path_bit_for_bit(dist, t):
+    # a float skips the array conversion but computes the same product,
+    # exp and dot. A many-time array call sums each row through a BLAS
+    # matrix-vector product instead of a dot, which can differ in the last
+    # bit, so the reference is a one-time array (0-d and length 1), the
+    # path a scalar time took before it had its own.
+    for f in (dist.ccdf, dist.cdf, dist.pdf):
+        value = f(t)
+        assert type(value) is float
+        assert value == f(np.array(t)) == f(np.array([t]))[0]
+    for f in (dist.ccdf, dist.cdf, dist.pdf):
+        assert math.isnan(f(math.nan))
+        with pytest.raises(ValueError, match="nonnegative"):
+            f(-t if t > 0 else -1e-300)

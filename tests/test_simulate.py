@@ -188,6 +188,16 @@ def test_outage_recomputable_at_other_windows(three_rate_mixture, medium_trace):
         run(medium_trace, s, seed=2, eta=math.nan)
 
 
+def test_run_refuses_a_trace_shorter_than_one_window():
+    short = IdleTrace(np.full(50, 0.1))
+    with pytest.raises(DataError, match="single window of 100 cycles"):
+        run(short, always_transmit(), window=100, eta=0.1)
+    # without a budget there is no outage figure to refuse
+    res = run(short, always_transmit(), window=100)
+    assert res.outage_prob is None and res.window_collisions.size == 0
+    assert run(short, always_transmit(), window=50, eta=0.1).outage_prob == 1.0
+
+
 def test_outage_under_weight_drift():
     rates = np.array([100.0, 6000.0])
     design = HyperExpDist(np.array([0.5, 0.5]), rates)

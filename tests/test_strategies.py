@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oppaccess import (
@@ -26,7 +26,14 @@ from oppaccess import (
     stat_one_shot,
     stat_optimal,
 )
-from oppaccess.strategies import COLLISION_TOL
+from oppaccess.strategies import (
+    COLLISION_TOL,
+    DEFAULT_EPSILON,
+    MARKOV,
+    PAPER_STRATEGIES,
+    _context_laws,
+    build,
+)
 
 from _oracles import (
     markov_os_balanced_small_eta_capacity,
@@ -345,6 +352,36 @@ def test_markov_optimal_agrees_with_scalar_oracle(model, eta):
     assert pred_new.capacity == pytest.approx(pred_old.capacity, rel=1e-10, abs=0.0)
 
 
+# the constructors that spend the whole budget: all but multiple_shot
+BUDGET_SPENDERS = tuple(name for name in PAPER_STRATEGIES if name != "multiple_shot")
+
+
+@given(model=spread_models(), eta=st.floats(0.001, 0.95))
+def test_budget_spenders_spend_eta_on_random_models(model, eta):
+    for name in BUDGET_SPENDERS:
+        try:
+            s = build(name, model, eta, DEFAULT_EPSILON)
+        except (SolverError, ModelError):
+            continue
+        assert abs(predict(s, model).collision - eta) <= 1e-9, name
+
+
+@pytest.mark.parametrize("eta", ETAS)
+def test_warm_law_cache_builds_the_same_schedules(eta):
+    rates = np.array([2.0, 20.0, 200.0, 2000.0, 20000.0])
+    p = np.full((5, 5), 0.05) + 0.75 * np.eye(5)
+    warm = SmmppModel(rates, p)
+    for name in PAPER_STRATEGIES:
+        first = build(name, warm, eta, DEFAULT_EPSILON)
+        second = build(name, warm, eta, DEFAULT_EPSILON)
+        cold_model = SmmppModel(rates, p)
+        cold = build(name, cold_model, eta, DEFAULT_EPSILON)
+        assert first.to_record() == second.to_record() == cold.to_record(), name
+        assert predict(second, warm) == predict(cold, cold_model), name
+    # each law set is built once per model, then shared
+    assert _context_laws(MARKOV, warm) is _context_laws(MARKOV, warm)
+
+
 # ------------------------------------------------------- full constructions
 
 def test_full_balanced_caps(three_state_model):
@@ -438,6 +475,34 @@ def test_multiple_shot_collision_stays_below_eta(three_rate_mixture):
     for eta in (0.01, 0.05, 0.1, 0.2):
         pred = predict(multiple_shot(three_rate_mixture.rates, eta), three_rate_mixture)
         assert pred.collision <= eta + 1e-9
+
+
+def _multiple_shot_bounds(rates, eta, epsilon):
+    """Collision bound of each pure component k (0-based, ascending rates):
+    its own shot spends at most eta, each faster shot before it at most
+    r_k / r_i of log(1/(1-eta)), each later shot at most epsilon."""
+    cap = math.log(1.0 / (1.0 - eta))
+    return [eta + sum(r_k / r_i * cap for r_i in rates[k + 1:]) + k * epsilon
+            for k, r_k in enumerate(rates)]
+
+
+@given(exponents=st.lists(st.floats(-1.0, 5.0), min_size=1, max_size=5, unique=True),
+       eta=st.floats(0.001, 0.95), epsilon=st.floats(1e-6, 0.5),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
+def test_multiple_shot_collision_bound(exponents, eta, epsilon, weights):
+    rates = sorted(10.0 ** np.array(exponents))
+    assume(epsilon < 1.0 - eta and len(set(rates)) == len(rates))
+    try:
+        s = multiple_shot(np.array(rates), eta, epsilon)
+    except ModelError:
+        assume(False)
+    bounds = _multiple_shot_bounds(rates, eta, epsilon)
+    for rate, bound in zip(rates, bounds):
+        assert predict(s, exponential(rate)).collision <= bound * (1 + 1e-12)
+    # a mixture's collision is a weighted mean of its components'
+    w = np.array(weights[:len(rates)])
+    mixed = predict(s, HyperExpDist(w / w.sum(), np.array(rates))).collision
+    assert mixed <= max(bounds) * (1 + 1e-12)
 
 
 def test_multiple_shot_capacity_formula_two_rates():
