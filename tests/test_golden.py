@@ -1,6 +1,8 @@
 """Golden outputs: every strategy schedule and four CLI reports, compared
 exactly (`==` on floats, bytes on reports) against files recorded from the
-code before the strategy constructions were rebuilt on shared kernels; the
+code before the strategy constructions were rebuilt on shared kernels; one
+digest per (model, eta) of all nine schedules on 60 random 2-5-state models,
+recorded from the code before the experiment commands shared one report; the
 plain and the windowed `fit` report of a drifting capture, recorded from the
 row-major, group-by-group EM; and sha256 digests of generated traces (per
 model, size and seed) and of trace files, recorded from the per-cycle
@@ -15,8 +17,8 @@ Rewrite the files after an intended output change with
 which prints, before it writes, how the new outputs differ from the
 recorded ones: per changed schedule the largest absolute and relative
 change of each field, every change of structure (episode counts, infinite
-or zero values, raised error types), changed report lines and changed
-trace digests. A change that moves bits commits the new files with that
+or zero values, raised error types), each random (model, eta) whose
+schedules moved, changed report lines and changed trace digests. A change that moves bits commits the new files with that
 diff and the bound it holds; the tests themselves keep comparing exactly.
 """
 
@@ -184,6 +186,44 @@ def schedule_records() -> dict:
     return out
 
 
+RANDOM_ETAS = (0.01, 0.1, 0.5)
+
+
+def draw_random_models(n: int = 60, seed: int = 2026) -> list[dict]:
+    """`n` 2-5-state models shaped like `spread_models` in test_strategies:
+    rates over 1-4 decades, a ring of positive transitions plus small
+    integer weights. Drawn once, when the golden file is first recorded;
+    the file keeps them, so the digests do not depend on an RNG stream."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(n):
+        k = int(rng.integers(2, 6))
+        decades = rng.uniform(1.0, 4.0)
+        exponents = decades * np.concatenate(([0.0, 1.0], rng.uniform(0.01, 0.99, k - 2)))
+        weights = rng.integers(0, 4, (k, k)).astype(float)
+        weights[np.arange(k), (np.arange(k) + 1) % k] += 1.0
+        models.append({"rates": (rng.uniform(0.5, 50.0) * 10.0 ** exponents).tolist(),
+                       "transition": (weights / weights.sum(axis=1, keepdims=True)).tolist()})
+    return models
+
+
+def random_schedule_digests(models: list[dict]) -> dict:
+    """sha256 per (model index, eta) of the nine schedule records (or raised
+    error types), as `json.dumps` writes them: floats by repr."""
+    out = {}
+    for i, spec in enumerate(models):
+        model = SmmppModel(np.array(spec["rates"]), np.array(spec["transition"]))
+        for eta in RANDOM_ETAS:
+            records = []
+            for _, construct in CONSTRUCTORS:
+                try:
+                    records.append(construct(model, eta).to_record())
+                except OppaccessError as exc:
+                    records.append({"error": type(exc).__name__})
+            out[f"{i}/{eta!r}"] = _sha(json.dumps(records).encode())
+    return out
+
+
 def _key_changes(key: str, old: dict, new: dict, largest: dict) -> list[str]:
     """How schedule record `new` differs from `old`: one line per change of
     structure, then the largest absolute and relative change of each field,
@@ -223,6 +263,9 @@ def golden_diff(name: str, old: bytes, new: bytes) -> list[str]:
             old.decode().splitlines(), new.decode().splitlines(), lineterm="", n=0)
             if line[:1] in "+-" and line[:3] not in ("+++", "---")]
     old_rec, new_rec = json.loads(old), json.loads(new)
+    if name == "schedules_random.json":
+        # the models stay as first recorded; each moved (model, eta) is named
+        old_rec, new_rec = old_rec.get("digests", {}), new_rec["digests"]
     lines = [f"{name}: removed {key}" for key in sorted(old_rec.keys() - new_rec.keys())]
     lines += [f"{name}: added {key}" for key in sorted(new_rec.keys() - old_rec.keys())]
     changed = [key for key in sorted(old_rec.keys() & new_rec.keys())
@@ -271,6 +314,13 @@ def test_schedules_match_golden_records():
         assert record == expected[key], key
 
 
+def test_random_model_schedules_match_golden_digests():
+    expected = json.loads((GOLDEN / "schedules_random.json").read_text())
+    actual = random_schedule_digests(expected["models"])
+    assert sorted(actual) == sorted(expected["digests"])
+    assert [key for key, digest in actual.items() if digest != expected["digests"][key]] == []
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS) + sorted(FIT_REPORTS))
 def test_cli_report_matches_golden_bytes(name, tmp_path):
     assert report_bytes(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
@@ -290,6 +340,11 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         files = {"schedules.json": (json.dumps(schedule_records(), indent=1) + "\n").encode()}
+        random_path = GOLDEN / "schedules_random.json"
+        models = (json.loads(random_path.read_text())["models"] if random_path.exists()
+                  else draw_random_models())
+        files["schedules_random.json"] = (json.dumps(
+            {"models": models, "digests": random_schedule_digests(models)}, indent=1) + "\n").encode()
         files.update((f"{report}.csv", report_bytes(report, Path(tmp)))
                      for report in (*REPORTS, *FIT_REPORTS))
         files["traces.json"] = (json.dumps(trace_digests(Path(tmp)), indent=1) + "\n").encode()
