@@ -10,7 +10,7 @@ collision probability by discrete-event simulation.
 from .distribution import HyperExpDist, exponential
 from .errors import ConfigError, DataError, ModelError, OppaccessError, SolverError
 from .fit import FitResult, TailDiagnostics, WindowedFit, em_fit, tail_diagnostics, windowed_fit
-from .simulate import CompareRow, SimResult, compare, outage, run
+from .simulate import SimResult, outage, run
 from .smmpp import (
     IdleTrace,
     NonstationarySchedule,
@@ -41,11 +41,11 @@ from .traceio import read_trace, write_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompareRow", "ConfigError", "DataError", "Episode", "FitResult",
-    "HyperExpDist", "IdleTrace", "ModelError", "NonstationarySchedule",
-    "OppaccessError", "SimResult", "SmmppModel", "SolverError", "Strategy",
-    "StrategyPrediction", "TailDiagnostics", "WindowedFit", "always_transmit",
-    "compare", "em_fit", "exponential", "full_balanced", "full_optimal",
+    "ConfigError", "DataError", "Episode", "FitResult", "HyperExpDist",
+    "IdleTrace", "ModelError", "NonstationarySchedule", "OppaccessError",
+    "SimResult", "SmmppModel", "SolverError", "Strategy", "StrategyPrediction",
+    "TailDiagnostics", "WindowedFit", "always_transmit", "em_fit",
+    "exponential", "full_balanced", "full_optimal",
     "generate", "generate_nonstationary", "markov_opt_balanced",
     "markov_optimal", "markov_os_balanced", "markov_os_suboptimal",
     "multiple_shot", "outage", "predict", "read_trace", "run", "solve_root",

@@ -4,7 +4,7 @@ construction and simulation into reproducible file-based experiments.
 Commands: generate, fit, diagnose, eval, sweep, compare. Every report
 embeds the verbatim config and seed in `#` header lines, so any output is
 reproducible from the file alone. Exit codes: 0 success, 2 config error,
-3 data error, 4 solver or model error.
+3 data error, 4 solver or model error, or out of memory.
 """
 
 from __future__ import annotations
@@ -225,27 +225,36 @@ def select_names(args, cfg: dict, sweep_cfg: dict | None = None) -> list[str]:
     return names
 
 
-def _runs(args, cfg: dict, etas: list[float], names: list[str], seed: int | None = None,
-          spawn: bool = False):
-    """Yield (name, eta, strategy, prediction, SimResult or None) per strategy
-    in `names` and eta, eta-major; the run over the configured trace is
-    skipped when `seed` is None. A generator, so one SimResult is alive at a
-    time. With `spawn` strategy k runs on child k of SeedSequence(seed), as
-    in simulate.compare, else on `seed`."""
+def _experiment(args, cfg: dict, etas: list[float], names: list[str], seed: int | None):
+    """Build and predict each strategy in `names` at each eta, eta-major, and
+    with a `seed` also run it over the configured trace, strategy k on child
+    k of SeedSequence(seed); write the one report table of `args.command`.
+    Returns the report's header lines and the last SimResult (None without
+    a seed); one SimResult is alive at a time."""
     epsilon = _setting(args, cfg, "epsilon")
     source = design_source(cfg)
+    columns = ["strategy", "eta", "predicted_capacity", "predicted_collision"]
+    extra = {"command": args.command}
     if seed is not None:
         window = _setting(args, cfg, "window")
         trace = get_trace(cfg)[0]
-        seeds = np.random.SeedSequence(seed).spawn(len(names)) if spawn else [seed] * len(names)
+        seeds = np.random.SeedSequence(seed).spawn(len(names))
+        columns += ["capacity", "collision", "outage"]
+        extra["cycles"] = trace.n
+    rows, res = [], None
     for eta in etas:
         for k, name in enumerate(names):
             strategy = build(name, source, eta, epsilon)
-            res = None
+            pred = predict(strategy, source)
+            rows.append([name, eta, pred.capacity, pred.collision])
             if seed is not None:
+                res = None  # free the last run's arrays before the next run
                 res = run_strategy(trace, strategy, source=source, seed=seeds[k],
                                    window=window, eta=eta)
-            yield name, eta, strategy, predict(strategy, source), res
+                rows[-1] += [res.capacity, res.collision_prob, res.outage_prob]
+    comments = header_lines(cfg, seed, extra)
+    write_report(args.out, comments, columns, rows)
+    return comments, res
 
 
 def header_lines(cfg: dict | None, seed=None, extra: dict | None = None) -> list[str]:
@@ -346,13 +355,7 @@ def cmd_eval(args) -> int:
     names = select_names(args, cfg)
     if len(names) != 1:
         raise ConfigError("eval runs a single strategy; use compare for several")
-    name, eta, strategy, pred, res = next(_runs(args, cfg, [eta], names, seed))
-    comments = header_lines(cfg, seed, extra={"command": "eval"})
-    columns = ["strategy", "mode", "eta", "cycles", "capacity", "collision",
-               "outage", "predicted_capacity", "predicted_collision"]
-    rows = [[name, strategy.mode, eta, res.n_cycles, res.capacity,
-             res.collision_prob, res.outage_prob, pred.capacity, pred.collision]]
-    write_report(args.out, comments, columns, rows)
+    comments, res = _experiment(args, cfg, [eta], names, seed)
     if args.windows:
         wrows = [[i, int(c), c / res.window] for i, c in enumerate(res.window_collisions)]
         write_report(args.windows, comments + [f"# window_size: {res.window}"],
@@ -364,14 +367,7 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     eta = get_eta(args, cfg)
     seed = _setting(args, cfg, "seed")
-    rows = [[name, eta, res.capacity, res.collision_prob, res.outage_prob,
-             pred.capacity, pred.collision]
-            for name, eta, _, pred, res in _runs(args, cfg, [eta], select_names(args, cfg),
-                                                 seed, spawn=True)]
-    comments = header_lines(cfg, seed, extra={"command": "compare"})
-    columns = ["strategy", "eta", "capacity", "collision", "outage",
-               "predicted_capacity", "predicted_collision"]
-    write_report(args.out, comments, columns, rows)
+    _experiment(args, cfg, [eta], select_names(args, cfg), seed)
     return 0
 
 
@@ -381,19 +377,12 @@ def cmd_sweep(args) -> int:
     if "true_weights" in sweep_cfg:
         return _robustness_sweep(args, cfg, sweep_cfg)
     etas = get_etas(args, sweep_cfg.get("etas"), "sweep.etas")
-    columns = ["strategy", "eta", "predicted_capacity", "predicted_collision"]
     seed = None
     if args.simulate or _scalar(sweep_cfg, "sweep.simulate", bool, False):
         seed = _setting(args, cfg, "seed")
-        columns += ["capacity", "collision", "outage"]
     elif args.seed is not None or args.window is not None:
         raise ConfigError("--seed and --window need --simulate or sweep.simulate")
-    names = select_names(args, cfg, sweep_cfg)
-    rows = [[name, eta, pred.capacity, pred.collision]
-            + ([] if res is None else [res.capacity, res.collision_prob, res.outage_prob])
-            for name, eta, _, pred, res in _runs(args, cfg, etas, names, seed)]
-    comments = header_lines(cfg, seed, extra={"command": "sweep"})
-    write_report(args.out, comments, columns, rows)
+    _experiment(args, cfg, etas, select_names(args, cfg, sweep_cfg), seed)
     return 0
 
 
@@ -494,6 +483,9 @@ def main(argv=None) -> int:
         return 4
     except OppaccessError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,10 @@ class HyperExpDist:
     ----------
     weights : mixture probabilities, sum to 1
     rates : exponential rates in 1/s, ascending
-    has_duplicate_rates : True when two components share a rate (the
-        value-to-cost ratio is then only weakly monotone)
     """
 
     weights: np.ndarray
     rates: np.ndarray
-    has_duplicate_rates: bool = field(init=False, default=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
@@ -60,7 +57,6 @@ class HyperExpDist:
         lam.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", lam)
-        object.__setattr__(self, "has_duplicate_rates", bool(np.any(np.diff(lam) == 0.0)))
 
     @property
     def n(self) -> int:
@@ -122,17 +118,6 @@ class HyperExpDist:
         if squeeze:
             return float(values[0]), int(comps[0])
         return values, comps
-
-    def to_record(self) -> dict:
-        """Plain-dict form {n, alphas, lambdas} used by file reports."""
-        return {"n": self.n, "alphas": list(self.weights), "lambdas": list(self.rates)}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "HyperExpDist":
-        dist = cls(np.asarray(rec["alphas"], dtype=float), np.asarray(rec["lambdas"], dtype=float))
-        if "n" in rec and int(rec["n"]) != len(rec["lambdas"]):
-            raise ValueError("record field n disagrees with lambdas length")
-        return dist
 
     def __repr__(self) -> str:
         w = ", ".join(f"{x:.6g}" for x in self.weights)

@@ -215,28 +215,3 @@ def outage(result: SimResult, eta: float, window: int | None = None) -> float:
     if not counts.size:
         raise DataError(f"trace too short for a single window of {w} cycles")
     return float(np.mean(counts / w > eta))
-
-
-@dataclass(frozen=True)
-class CompareRow:
-    name: str
-    capacity: float
-    collision_prob: float
-    outage_prob: float
-    result: SimResult = field(repr=False)
-
-
-def compare(strategies: dict[str, Strategy], trace: IdleTrace, eta: float,
-            seed=0, source=None, window: int = DEFAULT_WINDOW) -> list[CompareRow]:
-    """Run several strategies over the identical trace.
-
-    Randomness is shared only through the trace; each strategy gets its own
-    child stream of the given seed for its Bernoulli draws and initial
-    context. Rows come back in input order.
-    """
-    seeds = np.random.SeedSequence(seed).spawn(len(strategies))
-    rows = []
-    for (name, strategy), child in zip(strategies.items(), seeds):
-        res = run(trace, strategy, source=source, seed=child, window=window, eta=eta)
-        rows.append(CompareRow(name, res.capacity, res.collision_prob, res.outage_prob, res))
-    return rows

@@ -129,15 +129,6 @@ class Strategy:
             ],
         }
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "Strategy":
-        contexts = tuple(
-            tuple(Episode(e["start"], math.inf if e["end"] is None else e["end"],
-                          e.get("prob", 1.0)) for e in ctx)
-            for ctx in rec["contexts"]
-        )
-        return cls(rec["mode"], contexts, rec["name"])
-
 
 @dataclass(frozen=True)
 class StrategyPrediction:

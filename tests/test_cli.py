@@ -313,6 +313,52 @@ def test_compare_table_orders_strategies(tmp_path):
     assert all(r["outage"] not in ("", "None") for r in rows)
 
 
+REPORT_COLUMNS = ["strategy", "eta", "predicted_capacity", "predicted_collision",
+                  "capacity", "collision", "outage"]
+
+
+def test_eval_compare_and_sweep_write_one_table_with_one_seeding(tmp_path):
+    trace = tmp_path / "played.trace"
+    gen = write_config(tmp_path, {"model": THREE_STATE,
+                                  "trace": {"generate": {"cycles": 3000, "seed": 2}}},
+                       name="gen.json")
+    assert main(["generate", "--config", gen, "--out", str(trace)]) == 0
+    cfg = write_config(tmp_path, {"model": THREE_STATE, "trace": {"file": str(trace)},
+                                  "strategy": {"eta": 0.1}, "eval": {"seed": 7}})
+
+    def report(*argv):
+        out = tmp_path / "report.csv"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        comments, rows = read_table(out)
+        assert all(list(row) == REPORT_COLUMNS for row in rows)
+        # the played trace's length is on record, a file's too
+        assert "# cycles: 3000" in comments
+        return rows
+
+    # the seed draws markov_os_suboptimal's first context: strategy k runs on
+    # child k of the seed in every command
+    one = report("eval", "--strategy", "markov_os_suboptimal")
+    names = "markov_os_suboptimal,stat_optimal"
+    several = report("compare", "--strategy", names)
+    swept = report("sweep", "--simulate", "--eta", "0.1", "--strategy", names)
+    assert one == several[:1]
+    assert several == swept
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("generate", {"model": THREE_STATE, "trace": {"generate": {"cycles": 10**15}}}),
+    ("sweep", {"model": MIXTURE, "strategy": {"eta": 0.1},
+               "sweep": {"true_weights": [[0.5, 0.5]], "cycles": 10**15,
+                         "strategies": ["stat_optimal"]}}),
+])
+def test_out_of_memory_exits_4(command, cfg, tmp_path, capsys):
+    # 10**15 cycles ask for more than the address space, so the allocation
+    # fails at once; a smaller count could succeed under overcommit
+    config = write_config(tmp_path, cfg)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 4
+    assert "error: out of memory: " in capsys.readouterr().err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -587,3 +633,92 @@ def test_fuzzed_config_never_escapes(case, value, tmp_path_factory):
     workdir = tmp_path_factory.mktemp("fuzz")
     config = write_config(workdir, cfg)
     assert main([command, "--config", config, "--out", str(workdir / "out")]) in (0, 2, 3, 4)
+
+
+# Whole random configs: any subset of the six sections, over all six
+# commands. Each section and each value in it is a working one 19 times in
+# 20, and otherwise of any shape or a rarer kind (a schedule, a trace file).
+# Every number that can land on a cycle count is at most 200, so no count
+# asks for a large trace.
+SMALL_NUMBERS = st.integers(-3, 200) | st.floats(-200.0, 200.0)
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | SMALL_NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+def mostly(plausible, otherwise=ANY_VALUE):
+    """`plausible` 19 times in 20, else `otherwise`."""
+    return st.integers(0, 19).flatmap(lambda k: otherwise if k == 19 else plausible)
+
+
+STRATEGY_NAMES = st.sampled_from(["all", "stat_optimal", "multiple_shot", "markov_optimal",
+                                  "full_balanced", "always_transmit", "nope"])
+COUNTS = mostly(st.integers(100, 200), st.integers(-3, 200))
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def stationary_models(draw):
+    rates = draw(mostly(st.lists(st.floats(0.5, 1e4), min_size=1, max_size=3)))
+    k = len(rates) if isinstance(rates, list) else 2
+    weights = np.array(draw(st.lists(UNIT, min_size=k, max_size=k))) + 1e-3
+    if draw(st.booleans()):
+        return {"rates": rates, "weights": draw(mostly(st.just(
+            (weights / weights.sum()).tolist())))}
+    rows = np.array(draw(st.lists(st.lists(UNIT, min_size=k, max_size=k),
+                                  min_size=k, max_size=k))) + 1e-3
+    return {"rates": rates, "transition": draw(mostly(st.just(
+        (rows / rows.sum(axis=1, keepdims=True)).tolist())))}
+
+
+MODELS = st.sampled_from([THREE_STATE, MIXTURE]) | stationary_models()
+SCHEDULES = st.lists(st.tuples(COUNTS, MODELS), min_size=1, max_size=3).map(
+    lambda segments: {"schedule": [{"cycles": n, "model": m} for n, m in segments]})
+GENERATE = st.builds(lambda cycles, seed: {"generate": {"cycles": cycles, "seed": seed}},
+                     COUNTS, mostly(st.integers(0, 5)))
+ETAS = st.floats(0.001, 0.999)
+SECTIONS = {
+    "model": mostly(MODELS, SCHEDULES),
+    "design": MODELS,
+    "trace": mostly(GENERATE, st.just({"file": "missing.trace"})),
+    "strategy": st.fixed_dictionaries({
+        "eta": mostly(ETAS),
+        "name": mostly(STRATEGY_NAMES, st.lists(STRATEGY_NAMES, max_size=3).map(",".join)),
+    }, optional={"epsilon": mostly(st.floats(1e-4, 0.5))}),
+    "eval": st.fixed_dictionaries({}, optional={
+        "window": mostly(st.integers(1, 100)), "seed": mostly(st.integers(0, 9))}),
+    "sweep": st.fixed_dictionaries(
+        {"etas": mostly(st.lists(ETAS, min_size=1, max_size=3))},
+        optional={"simulate": mostly(st.booleans()),
+                  "strategies": mostly(st.lists(STRATEGY_NAMES, max_size=3)),
+                  "true_weights": mostly(st.lists(st.lists(UNIT, min_size=1, max_size=3),
+                                                  max_size=2)),
+                  "cycles": COUNTS}),
+}
+
+
+@st.composite
+def random_configs(draw):
+    return {key: draw(mostly(section)) for key, section in SECTIONS.items()
+            if draw(st.integers(0, 9)) < 9}
+
+
+@settings(max_examples=200)
+@given(command=st.sampled_from(sorted(COMMAND_FLAGS)), cfg=mostly(random_configs()),
+       extra=st.booleans())
+def test_whole_random_config_never_escapes(command, cfg, extra, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("config")
+    config = write_config(workdir, cfg)
+    trace = str(workdir / "played.trace")
+    if command in ("fit", "diagnose"):
+        # they read the trace `generate` writes from the config, or fail to
+        assert main(["generate", "--config", config, "--out", trace]) in (0, 2, 3, 4)
+        argv = [command, trace]
+    else:
+        argv = [command, "--config", config]
+    if extra:
+        argv += {"eval": ["--windows", str(workdir / "windows.csv")], "sweep": ["--simulate"],
+                 "fit": ["--group-size", "20"]}.get(command, [])
+    assert main(argv + ["--out", str(workdir / "out")]) in (0, 2, 3, 4)

@@ -156,20 +156,6 @@ def test_construction_validation():
         HyperExpDist(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
 
 
-def test_duplicate_rates_flagged():
-    d = HyperExpDist(np.array([0.5, 0.5]), np.array([3.0, 3.0]))
-    assert d.has_duplicate_rates
-    assert not exponential(3.0).has_duplicate_rates
-
-
-def test_record_round_trip(two_rate_mixture):
-    rec = two_rate_mixture.to_record()
-    assert rec["n"] == 2
-    back = HyperExpDist.from_record(rec)
-    assert np.allclose(back.weights, two_rate_mixture.weights)
-    assert np.allclose(back.rates, two_rate_mixture.rates)
-
-
 @st.composite
 def mixtures(draw):
     k = draw(st.integers(1, 5))

@@ -16,7 +16,6 @@ from oppaccess import (
     SmmppModel,
     Strategy,
     always_transmit,
-    compare,
     full_balanced,
     full_optimal,
     generate,
@@ -224,19 +223,28 @@ def test_fractional_transmit_probability_scales_metrics(three_rate_mixture):
     assert abs(res.capacity - pred_coin.capacity) <= max(3 * res.capacity_se, 0.01 * pred_coin.capacity)
 
 
+def _compare(strategies: dict, trace, eta, seed, source=None) -> list:
+    """(name, SimResult) per strategy in input order over the one trace,
+    strategy k on child k of SeedSequence(seed), as `oppaccess compare`
+    plays them."""
+    seeds = np.random.SeedSequence(seed).spawn(len(strategies))
+    return [(name, run(trace, strategy, source=source, seed=child, eta=eta))
+            for (name, strategy), child in zip(strategies.items(), seeds)]
+
+
 def test_compare_runs_identical_trace(three_state_model, three_rate_mixture):
     trace = generate(three_state_model, 50_000, seed=21)
     strategies = {
         "stat_optimal": stat_optimal(three_rate_mixture, 0.05),
         "multiple_shot": multiple_shot(three_rate_mixture.rates, 0.05),
     }
-    rows = compare(strategies, trace, eta=0.05, seed=0, source=three_state_model)
-    assert [r.name for r in rows] == ["stat_optimal", "multiple_shot"]
+    rows = _compare(strategies, trace, 0.05, 0, three_state_model)
+    assert [name for name, _ in rows] == ["stat_optimal", "multiple_shot"]
     # tuned-to-the-model strategy wins on matched stationary traffic
-    assert rows[0].capacity >= rows[1].capacity
-    again = compare(strategies, trace, eta=0.05, seed=0, source=three_state_model)
-    assert rows[0].capacity == again[0].capacity
-    assert rows[1].collision_prob == again[1].collision_prob
+    assert rows[0][1].capacity >= rows[1][1].capacity
+    again = _compare(strategies, trace, 0.05, 0, three_state_model)
+    assert rows[0][1].capacity == again[0][1].capacity
+    assert rows[1][1].collision_prob == again[1][1].collision_prob
 
 
 def test_compare_on_drifted_traffic_shows_robustness_gap():
@@ -249,9 +257,9 @@ def test_compare_on_drifted_traffic_shows_robustness_gap():
         "stat_optimal": stat_optimal(design, 0.1),
         "multiple_shot": multiple_shot(rates, 0.1),
     }
-    rows = {r.name: r for r in compare(strategies, trace, eta=0.1, seed=5)}
+    rows = dict(_compare(strategies, trace, 0.1, 5))
     assert rows["stat_optimal"].collision_prob > 0.1
-    assert rows["multiple_shot"].collision_prob <= 0.1 + 3 * rows["multiple_shot"].result.collision_se
+    assert rows["multiple_shot"].collision_prob <= 0.1 + 3 * rows["multiple_shot"].collision_se
 
 
 # a bound is sometimes a duration, so both `x == start` and `x == end` occur

@@ -366,6 +366,31 @@ def test_budget_spenders_spend_eta_on_random_models(model, eta):
         assert abs(predict(s, model).collision - eta) <= 1e-9, name
 
 
+# criterion 3's capacity orderings, (higher, lower); markov_os_suboptimal is
+# a heuristic and may fall below markov_os_balanced, so it is not among them
+CAPACITY_ORDERINGS = (
+    ("full_optimal", "markov_optimal"),
+    ("markov_optimal", "markov_opt_balanced"),
+    ("full_optimal", "stat_optimal"),
+    ("stat_optimal", "stat_one_shot"),
+    ("full_balanced", "stat_one_shot"),
+)
+
+
+@given(model=spread_models(), eta=st.floats(0.001, 0.95))
+def test_capacity_orderings_hold_on_random_models(model, eta):
+    capacity = {}
+    for name in {name for pair in CAPACITY_ORDERINGS for name in pair}:
+        source = model.marginal_dist() if name.startswith("stat_") else model
+        try:
+            capacity[name] = predict(build(name, source, eta, DEFAULT_EPSILON), model).capacity
+        except (SolverError, ModelError):
+            continue
+    for higher, lower in CAPACITY_ORDERINGS:
+        if higher in capacity and lower in capacity:
+            assert capacity[higher] >= capacity[lower] * (1 - 1e-8), (higher, lower)
+
+
 @pytest.mark.parametrize("eta", ETAS)
 def test_warm_law_cache_builds_the_same_schedules(eta):
     rates = np.array([2.0, 20.0, 200.0, 2000.0, 20000.0])
@@ -568,11 +593,3 @@ def test_strategy_validation():
         Strategy("stat", ((Episode(0.0, 1.0),), (Episode(0.0, 1.0),)), "two-ctx-stat")
     with pytest.raises(ValueError):
         Strategy("sideways", ((Episode(0.0, 1.0),),), "bad-mode")
-
-
-def test_strategy_record_round_trip(three_state_model):
-    s = markov_os_suboptimal(three_state_model, 0.1)
-    back = Strategy.from_record(s.to_record())
-    assert back == s
-    ms = multiple_shot(np.array([100.0, 6000.0]), 0.05)
-    assert Strategy.from_record(ms.to_record()) == ms
