@@ -32,7 +32,6 @@ from .strategies import (
     markov_os_suboptimal,
     multiple_shot,
     predict,
-    solve_root,
     stat_one_shot,
     stat_optimal,
 )
@@ -48,7 +47,7 @@ __all__ = [
     "exponential", "full_balanced", "full_optimal",
     "generate", "generate_nonstationary", "markov_opt_balanced",
     "markov_optimal", "markov_os_balanced", "markov_os_suboptimal",
-    "multiple_shot", "outage", "predict", "read_trace", "run", "solve_root",
+    "multiple_shot", "outage", "predict", "read_trace", "run",
     "stat_one_shot", "stat_optimal", "steady_state", "tail_diagnostics",
     "windowed_fit", "write_trace",
 ]

@@ -65,9 +65,8 @@ class HyperExpDist:
     def _decay(self, t, coef: np.ndarray):
         """sum(coef_i * exp(-lam_i t)) at nonnegative times t.
 
-        A float time (what `solve_root` passes) skips the array conversion
-        and check; the product, exp and dot are the array path's, so both
-        give the same bits.
+        A float time skips the array conversion and check; the product,
+        exp and dot are the array path's, so both give the same bits.
         """
         if isinstance(t, float):
             if t < 0:

@@ -26,52 +26,11 @@ from .smmpp import SmmppModel
 
 TAU_BRACKET_FACTOR = 50.0
 DEFAULT_EPSILON = 1e-3
-RESIDUAL_TOL = 1e-12
-SOLVE_MAX_ITER = 250
+CROSSING_MAX_ITER = 100
 COLLISION_TOL = 1e-11
 
 STAT, MARKOV, FULL = "stat", "markov", "full"
 _MODES = (STAT, MARKOV, FULL)
-
-
-def solve_root(f, target: float, lo: float, hi: float) -> float:
-    """Bisection for monotone f: find x in [lo, hi] with f(x) = target.
-
-    Stops on residual <= RESIDUAL_TOL; keeps halving, at most SOLVE_MAX_ITER
-    times, down to float resolution if the residual is still large, and
-    reports failure when even that cannot resolve the target (e.g. a target
-    smaller than one ulp of f can move).
-    """
-    if not hi > lo:
-        raise SolverError(f"empty bracket [{lo!r}, {hi!r}]")
-    flo, fhi = f(lo), f(hi)
-    increasing = fhi >= flo
-    a, b = (flo, fhi) if increasing else (fhi, flo)
-    if not a - RESIDUAL_TOL <= target <= b + RESIDUAL_TOL:
-        raise SolverError(
-            f"target {target!r} outside f range [{a!r}, {b!r}] on bracket [{lo!r}, {hi!r}]")
-    # a target tinier than the residual tolerance must be matched in
-    # relative terms, otherwise any near-zero argument would pass
-    tol_eff = RESIDUAL_TOL if target == 0 else min(RESIDUAL_TOL, 0.5 * abs(target))
-    x_lo, x_hi = lo, hi
-    mid = 0.5 * (lo + hi)
-    for _ in range(SOLVE_MAX_ITER):
-        mid = 0.5 * (x_lo + x_hi)
-        fm = f(mid)
-        if abs(fm - target) <= tol_eff:
-            return mid
-        if (fm < target) == increasing:
-            x_lo = mid
-        else:
-            x_hi = mid
-        if x_hi - x_lo <= abs(mid) * 1e-17 + 5e-324:
-            break
-    resid = abs(f(mid) - target)
-    if resid > tol_eff and resid > 1e-6 * abs(target):
-        raise SolverError(
-            f"bisection stalled at residual {resid:g} for target {target!r} "
-            f"on bracket [{lo!r}, {hi!r}]")
-    return mid
 
 
 @dataclass(frozen=True)
@@ -149,10 +108,13 @@ def _episode_metrics(weights: np.ndarray, rates: np.ndarray,
                      episodes: tuple[Episode, ...]) -> tuple[float, float]:
     cap = col = 0.0
     for ep in episodes:
-        ea = np.exp(-rates * ep.start)
-        eb = np.exp(-rates * ep.end) if math.isfinite(ep.end) else np.zeros_like(rates)
-        cap += ep.prob * float(np.sum(weights / rates * (ea - eb)))
-        col += ep.prob * float(np.sum(weights * (ea - eb)))
+        # mass ending inside the episode, exp(-r a) - exp(-r b), through
+        # expm1 so that a short episode keeps its relative precision
+        ended = np.exp(-rates * ep.start)
+        if math.isfinite(ep.end):
+            ended = ended * -np.expm1(-rates * (ep.end - ep.start))
+        cap += ep.prob * float(np.sum(weights / rates * ended))
+        col += ep.prob * float(np.sum(weights * ended))
     return cap, col
 
 
@@ -201,13 +163,45 @@ def _crossing_time(law: HyperExpDist, mass: float, tail: bool) -> float:
     """Time at which the survival mass left (tail) or the mass already
     spent (front cap) equals `mass`; 'effectively infinite' when the
     crossing lies beyond TAU_BRACKET_FACTOR mean times of the slowest rate."""
-    curve = law.ccdf if tail else law.cdf
+    target = math.log(mass) if tail else math.log1p(-mass)
     hi = TAU_BRACKET_FACTOR / float(law.rates[0])
-    if (curve(hi) > mass) if tail else (curve(hi) < mass):
+    if _log_ccdf_and_hazard(law, hi)[0] > target:
         what = "waiting threshold" if tail else "transmission cap"
         raise SolverError(
             f"{what} for collision mass {mass:g} is effectively infinite (beyond {hi:g} s)")
-    return solve_root(curve, mass, 0.0, hi)
+    return _newton_crossing(law, target)
+
+
+def _newton_crossing(law: HyperExpDist, log_survival: float) -> float:
+    """Time at which log ccdf(t) falls to `log_survival` < 0, by Newton
+    steps from t = 0. log ccdf is convex and decreasing, so every tangent
+    meets the target at or before the crossing: the iterates rise to it
+    without overshooting, and stop once a step moves t by at most 1e-15
+    relative."""
+    t = 0.0
+    for _ in range(CROSSING_MAX_ITER):
+        log_ccdf, hazard = _log_ccdf_and_hazard(law, t)
+        step = (log_ccdf - log_survival) / hazard
+        t += step
+        if step <= 1e-15 * t:
+            break
+    else:
+        t = math.nan
+    if not t > 0.0:
+        raise SolverError(f"crossing at log survival {log_survival!r} could not be resolved")
+    return t
+
+
+def _log_ccdf_and_hazard(law: HyperExpDist, t: float) -> tuple[float, float]:
+    """log ccdf(t) and the hazard pdf(t)/ccdf(t), the softmax-weighted mean
+    rate. While ccdf is above about 1/2 the log comes from log1p of
+    sum(w * expm1(-r t)), so a small spent mass keeps its relative
+    precision."""
+    exponent = -(t * law.rates)
+    (log_ccdf,), (hazard,) = _lse_and_mean((np.log(law.weights) + exponent)[None], law.rates)
+    if log_ccdf > -0.7:
+        log_ccdf = math.log1p(float(law.weights @ np.expm1(exponent)))
+    return float(log_ccdf), float(hazard)
 
 
 def _front_cap(law: HyperExpDist, mass: float) -> Episode:
@@ -315,47 +309,67 @@ class _ConditionalRows:
             w[i, model.transition[i] > WEIGHT_FLOOR] = law.weights
         self.r = r
         self.row_min = r[np.argmax(w > 0, axis=1)]
+        row_max = np.where(w > 0, r, 0.0).max(axis=1)
         with np.errstate(divide="ignore"):
             self.log_w = np.log(w)
             self.log_num_w = np.log(w * (r - lam_star))
             self.log_asym = np.log(self.row_min - lam_star)  # phi's large-tau limit
         self.constant = np.isneginf(self.log_num_w).all(axis=1)  # phi identically 0
-        self.single_atom = ((w > 0).sum(axis=1) == 1) & ~self.constant
+        self.single_atom = (self.row_min == row_max) & ~self.constant  # one rate
         self.log_ccdf0 = _lse_and_mean(self.log_w, r)[0]
-        # phi at tau=0; a single-atom row's equals its limit
+        # phi at tau=0; a single-atom row's equals its limit, to the bit, so
+        # that rows with the same one rate tie exactly
         self.log_phi0 = np.full(model.n, -math.inf)
         live = ~self.constant
         self.log_phi0[live] = _lse_and_mean(self.log_num_w[live], r)[0] - self.log_ccdf0[live]
+        self.log_phi0[self.single_atom] = self.log_asym[self.single_atom]
 
     def _at(self, rows: np.ndarray, tau: np.ndarray):
         """log phi of each of `rows` at its own tau, its slope
-        d log phi / d tau = E_den[r] - E_num[r], and log ccdf (the
-        denominator), all from one set of exponentials."""
+        d log phi / d tau = E_den[r] - E_num[r], log ccdf (the
+        denominator) and the hazard E_den[r], all from one set of
+        exponentials."""
         decay = tau[:, None] * self.r
         log_num, mean_num = _lse_and_mean(self.log_num_w[rows] - decay, self.r)
         log_den, mean_den = _lse_and_mean(self.log_w[rows] - decay, self.r)
-        return log_num - log_den, mean_den - mean_num, log_den
+        return log_num - log_den, mean_den - mean_num, log_den, mean_den
 
-    def taus_at(self, log_phi_bar: float, lower: np.ndarray, upper: np.ndarray):
+    def taus_at(self, log_phi_bar: float, lower: np.ndarray, upper: np.ndarray,
+                guess: np.ndarray):
         """Each row's smallest tau with log phi(tau) <= log_phi_bar (inf if
-        unreachable) and its log ccdf there, given that each tau lies in
-        [lower, upper]; an infinite upper bound is found by doubling."""
+        unreachable), its log ccdf there, and the derivatives of both by
+        log_phi_bar (0 where tau is 0 or inf), given that each tau lies in
+        [lower, upper] and starting from `guess`; an infinite upper bound
+        is found by doubling."""
         above = log_phi_bar < self.log_phi0
         never = above & (log_phi_bar <= self.log_asym)
         tau = np.where(never, math.inf, 0.0)
         log_ccdf = np.where(never, -math.inf, self.log_ccdf0)
+        dtau = np.zeros(tau.size)
+        dlog_ccdf = np.zeros(tau.size)
         rows = np.flatnonzero(above & ~never)
         if rows.size:
-            tau[rows], log_ccdf[rows] = self._roots(rows, log_phi_bar, lower[rows], upper[rows])
-        return tau, log_ccdf
+            tau[rows], log_ccdf[rows], slope, hazard = self._roots(
+                rows, log_phi_bar, lower[rows], upper[rows], guess[rows])
+            # log phi(tau) = log_phi_bar, so dtau = 1 / slope, and
+            # d log ccdf / d tau = -hazard
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(np.isfinite(tau[rows]), 1.0 / slope, 0.0)
+            dtau[rows], dlog_ccdf[rows] = d, -hazard * d
+        return tau, log_ccdf, dtau, dlog_ccdf
 
-    def _roots(self, rows, bar, lo, hi):
+    def _roots(self, rows, bar, lo, hi, guess):
         """Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes
-        9.4) on every row at once, narrowing the brackets `lo`, `hi` in
-        place: a Newton step that would leave the row's bracket, or that
-        shrinks slower than bisection, is replaced by a bisection step."""
+        9.4) on every row at once, from `guess` clipped into each row's
+        bracket (its midpoint where the guess is not finite), narrowing
+        the brackets `lo`, `hi` in place: a Newton step that would leave
+        the row's bracket, or that shrinks slower than bisection, is
+        replaced by a bisection step. Returns each row's tau, and its log
+        ccdf, slope and hazard there."""
         tau = np.full(rows.size, math.inf)
         log_ccdf = np.full(rows.size, -math.inf)
+        slope_at = np.full(rows.size, math.nan)
+        hazard_at = np.zeros(rows.size)
         todo = np.flatnonzero(np.isinf(hi) & np.isfinite(lo))
         trial = np.maximum(1.0 / self.row_min[rows[todo]], 2.0 * lo[todo])
         for _ in range(200):
@@ -366,11 +380,12 @@ class _ConditionalRows:
             lo[todo[~below]] = trial[~below]
             todo, trial = todo[~below], 2.0 * trial[~below]
         todo = np.flatnonzero(np.isfinite(hi))  # rows left open stay at inf
-        x = 0.5 * (lo[todo] + hi[todo])
-        step = hi[todo] - lo[todo]
+        a, b, start = lo[todo], hi[todo], guess[todo]
+        x = np.where(np.isfinite(start), np.clip(start, a, b), 0.5 * (a + b))
+        step = b - a
         with np.errstate(divide="ignore", invalid="ignore"):
             for it in range(120):
-                g, slope, lc = self._at(rows[todo], x)
+                g, slope, lc, hz = self._at(rows[todo], x)
                 g -= bar
                 a = np.where(g > 0, x, lo[todo])
                 b = np.where(g > 0, hi[todo], x)
@@ -380,13 +395,15 @@ class _ConditionalRows:
                 nxt = np.where(bisect, 0.5 * (a + b), newton)
                 step = np.where(bisect, 0.5 * (b - a), nxt - x)
                 done = (np.abs(step) <= 4e-16 * x) | (b - a <= 1e-15 * b) | (it == 119)
-                tau[todo[done]], log_ccdf[todo[done]] = x[done], lc[done]
+                ids = todo[done]
+                tau[ids], log_ccdf[ids], slope_at[ids], hazard_at[ids] = (
+                    x[done], lc[done], slope[done], hz[done])
                 keep = ~done
                 if not keep.any():
                     break
                 lo[todo], hi[todo] = a, b
                 todo, x, step = todo[keep], nxt[keep], step[keep]
-        return tau, log_ccdf
+        return tau, log_ccdf, slope_at, hazard_at
 
 
 def _lse_and_mean(v: np.ndarray, rates: np.ndarray):
@@ -409,27 +426,37 @@ def markov_optimal(model: SmmppModel, eta: float) -> Strategy:
     absorbs the residual budget through a partial tail policy, which spends
     the same budget at the same ratio as the randomized-probability form.
 
-    The threshold is bisected; each row's time for it lies between its
-    times for the current bracket ends (tau falls as the threshold rises).
+    The threshold is found by safeguarded Newton steps on the log of the
+    collision spent, bisecting whenever a step would leave the bracket or
+    shrinks too slowly; each row's time for it lies between its times for
+    the current bracket ends (tau falls as the threshold rises) and
+    starts from its tangent at the previous threshold.
     """
     _check_eta(eta)
     rows = _ConditionalRows(model)
     alpha = model.steady
+    open_ended = np.full(model.n, math.inf)
 
-    def total_collision(log_phi_bar: float, lower, upper):
-        """Collision spent at the threshold, each row's time and survival."""
-        taus, log_ccdf = rows.taus_at(log_phi_bar, lower, upper)
+    def total_collision(log_phi_bar: float, lower, upper, guess):
+        """Collision spent at the threshold and its derivative by the
+        threshold, each row's time and survival, and each time's
+        derivative by the threshold."""
+        taus, log_ccdf, dtau, dlog_ccdf = rows.taus_at(log_phi_bar, lower, upper, guess)
         ccdf = np.exp(log_ccdf)
-        return float(sum(alpha * ccdf)), taus, ccdf
+        # a row whose survival underflows to 0 where its time is infinitely
+        # sensitive gives 0 * inf: the derivative is NaN, the step a bisection
+        with np.errstate(invalid="ignore"):
+            dcoll = float(alpha @ (ccdf * dlog_ccdf))
+        return float(sum(alpha * ccdf)), dcoll, taus, ccdf, dtau
 
     log_hi = max(rows.log_phi0[~rows.constant].tolist(), default=0.0)
     log_hi = log_hi + 1.0 if math.isfinite(log_hi) else 1.0
     taus_hi = np.zeros(model.n)  # every row transmits at once above log_hi
     log_lo = -800.0
-    c_lo, taus, ccdf = total_collision(log_lo, taus_hi, np.full(model.n, math.inf))
+    c_lo, dcoll, taus, ccdf, dtau = total_collision(log_lo, taus_hi, open_ended, open_ended)
     while c_lo > eta + COLLISION_TOL and log_lo > -1e7:
         log_lo *= 4.0
-        c_lo, taus, ccdf = total_collision(log_lo, taus, np.full(model.n, math.inf))
+        c_lo, dcoll, taus, ccdf, dtau = total_collision(log_lo, taus, open_ended, open_ended)
     if abs(c_lo - eta) <= COLLISION_TOL:
         return _episodes_from_taus(model, taus, "markov_optimal")
     if c_lo > eta:
@@ -437,34 +464,65 @@ def markov_optimal(model: SmmppModel, eta: float) -> Strategy:
         # slowest-rate states can be active, and only partially
         taus[rows.constant], ccdf[rows.constant] = math.inf, 0.0
         return _finish_with_atoms(model, rows, taus, ccdf, eta, np.flatnonzero(rows.constant))
-    lo, hi, taus_lo, ccdf_lo = log_lo, log_hi, taus, ccdf
+    lo, hi, taus_lo, ccdf_lo, ccdf_hi = log_lo, log_hi, taus, ccdf, np.exp(rows.log_ccdf0)
+    x, coll, step = log_lo, c_lo, math.inf
+    resolved = 4.0 * math.ulp(eta)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        coll, taus, ccdf = total_collision(mid, taus_hi, taus_lo)
-        if abs(coll - eta) <= COLLISION_TOL:
+        # Newton on log(coll / eta): far below the root it is nearly
+        # linear in the threshold, where coll itself is exponential
+        gap = math.log(coll / eta) if coll > 0.0 else -math.inf
+        dgap = dcoll / coll if coll > 0.0 else 0.0
+        newton = x - gap / dgap if dgap > 0.0 else math.nan
+        nxt = newton if lo < newton < hi and abs(2.0 * gap) <= abs(step * dgap) else 0.5 * (lo + hi)
+        step, x = nxt - x, nxt
+        coll, dcoll, taus, ccdf, dtau = total_collision(x, taus_hi, taus_lo, taus + step * dtau)
+        if abs(coll - eta) <= resolved:
             return _episodes_from_taus(model, taus, "markov_optimal")
         if coll < eta:
-            lo, c_lo, taus_lo, ccdf_lo = mid, coll, taus, ccdf
+            lo, c_lo, taus_lo, ccdf_lo = x, coll, taus, ccdf
         else:
-            hi, taus_hi = mid, taus
-        if hi - lo <= max(abs(mid), 1.0) * 1e-14:
+            hi, taus_hi, ccdf_hi = x, taus, ccdf
+        if hi - lo <= 4e-16 * max(abs(lo), abs(hi), 1.0):
             break
     if eta - c_lo > COLLISION_TOL:
-        # the collision curve jumps inside (lo, hi]: a constant-ratio state
-        # sits exactly at the threshold and absorbs the residual
+        # the collision curve jumps inside (lo, hi]: constant-ratio states
+        # sit exactly at the threshold and take the residual first
         at_jump = np.flatnonzero(rows.single_atom & (lo < rows.log_asym)
                                  & (rows.log_asym <= hi + 1e-12))
-        return _finish_with_atoms(model, rows, taus_lo, ccdf_lo, eta, at_jump)
-    return _episodes_from_taus(model, taus_lo, "markov_optimal")
+        if at_jump.size:
+            return _finish_with_atoms(model, rows, taus_lo, ccdf_lo, eta, at_jump, ccdf_hi)
+    return _split_bracket(model, eta, taus_lo, ccdf_lo, ccdf_hi)
 
 
-def _finish_with_atoms(model, rows, taus, ccdf, eta, at_jump):
+def _split_bracket(model, eta, taus_lo, ccdf_lo, ccdf_hi) -> Strategy:
+    """Spend eta once the threshold bracket has closed without a double
+    that resolves it: the collision curve is steeper there than one ulp
+    of the threshold, or it jumps at a state whose ratio reaches its
+    limit within double precision. Every state whose survival differs
+    between the bracket's ends sits at the threshold ratio, so each moves
+    the same share of the way from its survival at the low end to that at
+    the high end, and waits for the tail crossing of its new survival."""
+    alpha = model.steady
+    c_lo, c_hi = float(sum(alpha * ccdf_lo)), float(sum(alpha * ccdf_hi))
+    share = (eta - c_lo) / (c_hi - c_lo)
+    taus = np.array(taus_lo, dtype=float)
+    laws = _context_laws(MARKOV, model)
+    for i in np.flatnonzero(ccdf_lo != ccdf_hi).tolist():
+        mass = float(ccdf_lo[i] + share * (ccdf_hi[i] - ccdf_lo[i]))
+        taus[i] = 0.0 if mass >= 1.0 else _newton_crossing(laws[i][1], math.log(mass))
+    return _episodes_from_taus(model, taus, "markov_optimal")
+
+
+def _finish_with_atoms(model, rows, taus, ccdf, eta, at_jump, ccdf_hi=None):
     """Close the budget gap left by a jump of the collision curve: spread
     the residual over the constant-ratio states at the jump level. Their
     value-to-cost is flat, so any schedule spending the same mass is
-    optimal; the tail form is the canonical one."""
+    optimal; the tail form is the canonical one. Given the survivals at
+    the bracket's high end, what those states cannot hold goes to the
+    states whose ratio only tends to the same level, by `_split_bracket`."""
     alpha = model.steady
     taus = np.where(ccdf == 0.0, math.inf, taus)  # no mass left to wait for
+    ccdf = np.array(ccdf, dtype=float)
     residual = eta - float(sum(alpha * ccdf))
     if residual < -COLLISION_TOL:
         raise SolverError("collision budget overshot while resolving a threshold tie")
@@ -475,10 +533,15 @@ def _finish_with_atoms(model, rows, taus, ccdf, eta, at_jump):
         take = min(residual, state_mass)
         share = take / state_mass
         if share >= 1.0 - 1e-12:
-            taus[i] = 0.0
+            taus[i], ccdf[i] = 0.0, 1.0
         else:
-            taus[i] = math.log(1.0 / share) / float(rows.row_min[i])
+            taus[i], ccdf[i] = math.log(1.0 / share) / float(rows.row_min[i]), share
         residual -= take
+    if ccdf_hi is not None and residual > 4.0 * math.ulp(eta):
+        ccdf_hi = np.array(ccdf_hi, dtype=float)
+        ccdf_hi[at_jump] = ccdf[at_jump]
+        if (ccdf_hi != ccdf).any():
+            return _split_bracket(model, eta, taus, ccdf, ccdf_hi)
     if residual > max(COLLISION_TOL, 1e-9):
         raise SolverError(
             f"could not place residual collision mass {residual:g}; "

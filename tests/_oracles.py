@@ -6,8 +6,10 @@ grid, the high-precision density uses decimal arithmetic, the trace
 generator walks the chain one cycle at a time, and the cross-state optimal
 threshold search solves each previous state's row on its own by bisection,
 the EM fit runs on sample-major (N, K) arrays, one window group after
-the other, and the simulator plays one (context, episode) pair at a time. The two small-eta closed forms live here because only the tests
-use them.
+the other, the simulator plays one (context, episode) pair at a time, and
+the front-cap and tail crossings are bisected on the CDF or survival
+function, or bisected in decimal arithmetic. The two small-eta closed
+forms live here because only the tests use them.
 """
 
 import math
@@ -33,6 +35,7 @@ from oppaccess.strategies import (
     FULL,
     MARKOV,
     STAT,
+    TAU_BRACKET_FACTOR,
     _check_eta,
     _context_laws,
     _episodes_from_taus,
@@ -78,6 +81,88 @@ def decimal_mixture_pdf(weights, rates, t, digits: int = 50) -> Decimal:
     return total
 
 
+RESIDUAL_TOL = 1e-12
+SOLVE_MAX_ITER = 250
+
+
+def solve_root(f, target: float, lo: float, hi: float) -> float:
+    """Bisection for monotone f: find x in [lo, hi] with f(x) = target.
+
+    Stops on residual <= RESIDUAL_TOL; keeps halving, at most SOLVE_MAX_ITER
+    times, down to float resolution if the residual is still large, and
+    reports failure when even that cannot resolve the target (e.g. a target
+    smaller than one ulp of f can move).
+    """
+    if not hi > lo:
+        raise SolverError(f"empty bracket [{lo!r}, {hi!r}]")
+    flo, fhi = f(lo), f(hi)
+    increasing = fhi >= flo
+    a, b = (flo, fhi) if increasing else (fhi, flo)
+    if not a - RESIDUAL_TOL <= target <= b + RESIDUAL_TOL:
+        raise SolverError(
+            f"target {target!r} outside f range [{a!r}, {b!r}] on bracket [{lo!r}, {hi!r}]")
+    # a target tinier than the residual tolerance must be matched in
+    # relative terms, otherwise any near-zero argument would pass
+    tol_eff = RESIDUAL_TOL if target == 0 else min(RESIDUAL_TOL, 0.5 * abs(target))
+    x_lo, x_hi = lo, hi
+    mid = 0.5 * (lo + hi)
+    for _ in range(SOLVE_MAX_ITER):
+        mid = 0.5 * (x_lo + x_hi)
+        fm = f(mid)
+        if abs(fm - target) <= tol_eff:
+            return mid
+        if (fm < target) == increasing:
+            x_lo = mid
+        else:
+            x_hi = mid
+        if x_hi - x_lo <= abs(mid) * 1e-17 + 5e-324:
+            break
+    resid = abs(f(mid) - target)
+    if resid > tol_eff and resid > 1e-6 * abs(target):
+        raise SolverError(
+            f"bisection stalled at residual {resid:g} for target {target!r} "
+            f"on bracket [{lo!r}, {hi!r}]")
+    return mid
+
+
+def bisect_crossing(law: HyperExpDist, mass: float, tail: bool) -> float:
+    """`strategies._crossing_time` by `solve_root` on scalar `cdf`/`ccdf`
+    calls: the crossing oracle, to RESIDUAL_TOL in the curve's value."""
+    curve = law.ccdf if tail else law.cdf
+    hi = TAU_BRACKET_FACTOR / float(law.rates[0])
+    if (curve(hi) > mass) if tail else (curve(hi) < mass):
+        raise SolverError(f"crossing for collision mass {mass:g} is effectively infinite")
+    return solve_root(curve, mass, 0.0, hi)
+
+
+def decimal_crossing(weights, rates, mass, tail: bool, digits: int = 50) -> Decimal:
+    """Time at which the survival mass left (tail) or the mass already
+    spent (front cap) equals `mass`, by bisection in decimal arithmetic
+    on the exact binary values of the inputs, to `digits` digits. The
+    weights are normalized in decimal: double weights that sum to 1 in
+    floating point can miss it by an ulp, more than a tiny mass."""
+    getcontext().prec = digits
+    w = [Decimal(float(x)) for x in weights]
+    w = [x / sum(w) for x in w]
+    r = [Decimal(float(x)) for x in rates]
+    target = Decimal(float(mass)) if tail else 1 - Decimal(float(mass))
+
+    def ccdf(t):
+        return sum(wi * (-ri * t).exp() for wi, ri in zip(w, r))
+
+    lo, hi = Decimal(0), Decimal(1) / min(r)
+    while ccdf(hi) > target:
+        lo, hi = hi, 2 * hi
+    tol = Decimal(10) ** (5 - digits)
+    while hi - lo > tol * hi:
+        mid = (lo + hi) / 2
+        if ccdf(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def per_cycle_walk(model, n_cycles: int, rng):
     """Durations and states of a semi-Markov trace, one transition per cycle,
     drawing from `rng` in the order `smmpp.generate` does: the transition
@@ -116,10 +201,11 @@ class ConditionalRow:
         self.log_num_w = np.log(weights[above] * (rates[above] - lam_star))
         self.num_r = rates[above]
         self.constant = not np.any(above)  # phi identically 0 (pure lam_star row)
-        self.single_atom = weights.size == 1 and above.any()
-        # phi at tau=0 and its large-tau limit
-        self.log_phi0 = -math.inf if self.constant else self._log_phi(0.0)
+        self.single_atom = bool(np.all(rates == rates[0])) and above.any()  # one rate
+        # phi's large-tau limit and its value at tau=0, the same for one rate
         self.log_asym = math.log(rates.min() - lam_star) if rates.min() > lam_star else -math.inf
+        self.log_phi0 = (-math.inf if self.constant else
+                         self.log_asym if self.single_atom else self._log_phi(0.0))
 
     def _log_phi(self, tau: float) -> float:
         num = self.log_num_w - self.num_r * tau
@@ -155,6 +241,29 @@ class ConditionalRow:
             return 0.0
         return float(np.exp(_logsumexp(self.log_w - self.r * tau)))
 
+    def _log_ccdf(self, tau: float) -> float:
+        spent = float(np.exp(self.log_w) @ np.expm1(-self.r * tau))
+        return math.log1p(spent) if spent > -0.5 else _logsumexp(self.log_w - self.r * tau)
+
+    def tail_at(self, mass: float, lo: float, hi: float) -> float:
+        """Time in [lo, hi] at which `mass` of the idle times survive, by
+        doubling an infinite `hi`, then bisecting until the bracket
+        collapses."""
+        target = math.log(mass)
+        if math.isinf(hi):
+            hi = max(2.0 * lo, 1.0 / float(self.r.min()))
+            while self._log_ccdf(hi) > target:
+                lo, hi = hi, 2.0 * hi
+        for _ in range(1100):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if self._log_ccdf(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
 
 def _logsumexp(v: np.ndarray) -> float:
     m = np.max(v)
@@ -164,9 +273,11 @@ def _logsumexp(v: np.ndarray) -> float:
 
 
 def scalar_markov_optimal(model, eta: float):
-    """`strategies.markov_optimal` with each row's threshold time found on
+    """`strategies.markov_optimal` with the threshold bisected until its
+    bracket collapses to a few ulp, and each row's threshold time found on
     its own: doubling, then up to 120 bisection steps per row and per
-    outer step."""
+    outer step. A bracket that collapses with eta unresolved is split
+    between its ends, each row's new time bisected on its survival."""
     _check_eta(eta)
     lam_star = float(model.rates.min())
     rows = [ConditionalRow(law.weights, law.rates, lam_star)
@@ -202,19 +313,40 @@ def scalar_markov_optimal(model, eta: float):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         coll, taus = total_collision(mid)
-        if abs(coll - eta) <= COLLISION_TOL:
-            return _episodes_from_taus(model, taus, "markov_optimal")
         if coll < eta:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= max(abs(mid), 1.0) * 1e-14:
+        if hi - lo <= 4e-16 * max(abs(lo), abs(hi), 1.0):
             break
     coll, taus = total_collision(lo)
-    if eta - coll > COLLISION_TOL:
-        at_jump = [i for i, row in enumerate(rows)
-                   if row.single_atom and lo < row.log_asym <= hi + 1e-12]
-        return _scalar_finish_with_atoms(model, rows, alpha, taus, eta, at_jump)
+    coll_hi, taus_hi = total_collision(hi)
+    # a bracket closed to a few ulp can end exactly on the jump, where
+    # the constant-ratio state is still off
+    at_jump = [i for i, row in enumerate(rows)
+               if row.single_atom and lo <= row.log_asym <= hi + 1e-12]
+    if eta - coll > COLLISION_TOL and at_jump:
+        # the constant-ratio states at the jump take the residual first,
+        # one after another
+        for i in at_jump:
+            if eta - coll <= COLLISION_TOL:
+                break
+            share = min(eta - coll, float(alpha[i])) / float(alpha[i])
+            taus[i] = taus_hi[i] = (0.0 if share >= 1.0 - 1e-12
+                                    else math.log(1.0 / share) / float(rows[i].r.min()))
+            coll = float(sum(a * row.ccdf(t) for a, row, t in zip(alpha, rows, taus)))
+        coll_hi = float(sum(a * row.ccdf(t) for a, row, t in zip(alpha, rows, taus_hi)))
+    if abs(coll - eta) > 4.0 * math.ulp(eta) and coll_hi != coll:
+        # the collision curve moves by more than that over the last ulp of
+        # the threshold: every row whose survival differs between the
+        # bracket ends sits at the threshold, and each moves the same share
+        # of the way between its survivals at the two ends
+        share = (eta - coll) / (coll_hi - coll)
+        for i, row in enumerate(rows):
+            ccdf_lo, ccdf_hi = row.ccdf(taus[i]), row.ccdf(taus_hi[i])
+            if ccdf_lo != ccdf_hi:
+                mass = ccdf_lo + share * (ccdf_hi - ccdf_lo)
+                taus[i] = 0.0 if mass >= 1.0 else row.tail_at(mass, taus_hi[i], taus[i])
     return _episodes_from_taus(model, taus, "markov_optimal")
 
 

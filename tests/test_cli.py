@@ -662,7 +662,7 @@ UNIT = st.floats(0.0, 1.0)
 @st.composite
 def stationary_models(draw):
     rates = draw(mostly(st.lists(st.floats(0.5, 1e4), min_size=1, max_size=3)))
-    k = len(rates) if isinstance(rates, list) else 2
+    k = len(rates) if isinstance(rates, list) and rates else 2
     weights = np.array(draw(st.lists(UNIT, min_size=k, max_size=k))) + 1e-3
     if draw(st.booleans()):
         return {"rates": rates, "weights": draw(mostly(st.just(

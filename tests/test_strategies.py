@@ -22,7 +22,6 @@ from oppaccess import (
     markov_os_suboptimal,
     multiple_shot,
     predict,
-    solve_root,
     stat_one_shot,
     stat_optimal,
 )
@@ -31,15 +30,22 @@ from oppaccess.strategies import (
     DEFAULT_EPSILON,
     MARKOV,
     PAPER_STRATEGIES,
+    STAT,
+    _ConditionalRows,
     _context_laws,
+    _crossing_time,
     build,
 )
 
 from _oracles import (
+    RESIDUAL_TOL,
+    bisect_crossing,
+    decimal_crossing,
     markov_os_balanced_small_eta_capacity,
     multiple_shot_small_eta_capacity,
     scalar_markov_optimal,
     slotted_greedy_capacity,
+    solve_root,
 )
 
 ETAS = (0.01, 0.05, 0.1)
@@ -59,7 +65,7 @@ def build_all(model, dist, eta, epsilon=1e-3):
     }
 
 
-# ---------------------------------------------------------------- solve_root
+# ------------------------------------------- solve_root, the crossing oracle
 
 def test_solve_root_identity():
     assert solve_root(lambda x: x, 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
@@ -92,6 +98,14 @@ def test_silent_strategy_prediction(three_rate_mixture):
     silent = Strategy("stat", ((),), "silent")
     pred = predict(silent, three_rate_mixture)
     assert pred.capacity == 0.0 and pred.collision == 0.0
+
+
+def test_predict_keeps_the_budget_of_a_short_cap(two_rate_mixture):
+    # a cap of 1e-19 s: exp(-r a) - exp(-r b) by subtraction would lose
+    # the relative precision of the mass it spends
+    for eta in np.geomspace(1e-15, 1e-3, 13).tolist():
+        collision = predict(stat_one_shot(two_rate_mixture, eta), two_rate_mixture).collision
+        assert collision == pytest.approx(eta, rel=1e-12, abs=0.0), eta
 
 
 def test_tail_episode_collision_is_survival_mass(three_rate_mixture):
@@ -169,6 +183,20 @@ def test_stat_optimal_collision_by_construction():
 def test_stat_optimal_unreachable_threshold_reported(three_rate_mixture):
     with pytest.raises(SolverError):
         stat_optimal(three_rate_mixture, 1e-200)
+
+
+@pytest.mark.parametrize("construct, eta", [
+    (stat_one_shot, 1e-17), (stat_one_shot, 1e-15), (stat_one_shot, 1.0 - 1e-12),
+    (stat_optimal, 1e-15), (stat_optimal, 1.0 - 1e-12),
+])
+def test_extreme_eta_crossings_match_decimal_oracle(two_rate_mixture, construct, eta):
+    # a cap of 1e-15 or 1e-17 spends a mass below the resolution of
+    # 1 - ccdf, and a cap at 1 - 1e-12 a survival below an absolute
+    # residual of 1e-12
+    (ep,), = construct(two_rate_mixture, eta).episodes
+    tail = construct is stat_optimal
+    exact = decimal_crossing(two_rate_mixture.weights, two_rate_mixture.rates, eta, tail)
+    assert (ep.start if tail else ep.end) == pytest.approx(float(exact), rel=1e-9, abs=0.0)
 
 
 # ----------------------------------------------------- markov constructions
@@ -337,19 +365,122 @@ def test_markov_optimal_agrees_with_scalar_oracle(model, eta):
     # the row-batched Newton search against the one-row-at-a-time bisection
     new = _built(markov_optimal, model, eta)
     old = _built(scalar_markov_optimal, model, eta)
-    if isinstance(old, type) or isinstance(new, type):
+    if isinstance(new, type):
         assert new is old
         return
+    pred_new = predict(new, model)
+    assert abs(pred_new.collision - eta) <= COLLISION_TOL
+    if isinstance(old, type) or abs(predict(old, model).collision - eta) > COLLISION_TOL:
+        # the collision curve is steeper than the bisection can resolve;
+        # the Newton search still spends eta, as checked above
+        return
+    pred_old = predict(old, model)
+    # a start below 1e-15 / lambda_max moves no survival by more than 1e-15
+    zero = 1e-15 / float(model.rates.max())
+    for ctx_new, ctx_old in zip(new.episodes, old.episodes):
+        assert len(ctx_new) == len(ctx_old)
+        for ep_new, ep_old in zip(ctx_new, ctx_old):
+            assert (ep_new.start < zero) == (ep_old.start < zero)
+            if ep_old.start >= zero:
+                assert ep_new.start == pytest.approx(ep_old.start, rel=1e-10, abs=0.0)
+            assert ep_new.end == ep_old.end == math.inf
+    assert pred_new.capacity == pytest.approx(pred_old.capacity, rel=1e-10, abs=0.0)
+
+
+# models 146, 191, 210 and 325 of `draw_random_models(400, seed=7)` in
+# test_golden.py, at budgets where the collision spent moves by up to
+# 1e-10 per ulp of the threshold: a bisection of the threshold refused
+# the first two and missed eta by more than COLLISION_TOL on the others
+STEEP_THRESHOLD_CASES = (
+    ([4.494311397612456, 5199.077902674809, 109.4641486239807],
+     [[0.0, 0.25, 0.75],
+      [0.42857142857142855, 0.2857142857142857, 0.2857142857142857],
+      [0.2, 0.4, 0.4]], 0.6),
+    ([4.241593020331475, 21379.035266874245, 112.595039496225, 10594.213304979447],
+     [[0.0, 0.25, 0.5, 0.25],
+      [0.3333333333333333, 0.0, 0.6666666666666666, 0.0],
+      [0.3333333333333333, 0.16666666666666666, 0.3333333333333333, 0.16666666666666666],
+      [0.1111111111111111, 0.3333333333333333, 0.2222222222222222, 0.3333333333333333]], 0.6),
+    ([33.568238643665936, 11484.480962077125, 129.0484941416309, 797.5893671178185,
+      1907.5027146488333],
+     [[0.18181818181818182, 0.18181818181818182, 0.2727272727272727, 0.09090909090909091,
+       0.2727272727272727],
+      [0.0, 0.3333333333333333, 0.6666666666666666, 0.0, 0.0],
+      [0.18181818181818182, 0.09090909090909091, 0.2727272727272727, 0.36363636363636365,
+       0.09090909090909091],
+      [0.0, 0.2222222222222222, 0.2222222222222222, 0.1111111111111111, 0.4444444444444444],
+      [0.25, 0.25, 0.0, 0.5, 0.0]], 0.3),
+    ([45.6666497128799, 39366.87879540174, 1700.2921789590143, 6926.648083964934],
+     [[0.0, 0.16666666666666666, 0.5, 0.3333333333333333],
+      [0.0, 0.16666666666666666, 0.6666666666666666, 0.16666666666666666],
+      [0.42857142857142855, 0.0, 0.42857142857142855, 0.14285714285714285],
+      [0.5714285714285714, 0.0, 0.14285714285714285, 0.2857142857142857]], 0.6),
+)
+
+
+@pytest.mark.parametrize("rates, transition, eta", STEEP_THRESHOLD_CASES)
+def test_markov_optimal_spends_eta_on_a_steep_collision_curve(rates, transition, eta):
+    model = SmmppModel(np.array(rates), np.array(transition))
+    assert abs(predict(markov_optimal(model, eta), model).collision - eta) <= COLLISION_TOL
+
+
+@pytest.mark.parametrize("rates, transition, eta, full, waiting", [
+    # the constant-ratio state 2 holds the residual; state 0, a mixture
+    # whose slowest rate is state 2's, stays silent
+    ([0.5, 0.8891397050194614, 5.0], [[0, 0.5, 0.5], [1, 0, 0], [0, 1, 0]], 0.5, 1, 2),
+    # the constant-ratio state 1 cannot hold the residual: the rest goes
+    # to state 4, whose ratio tends to the same level
+    ([1.0, 10 ** 0.5, 10 ** 0.5, 10.0, 100.0],
+     [[0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0],
+      [0, 1 / 3, 1 / 3, 0, 1 / 3]], 0.3125, 1, 4),
+])
+def test_markov_optimal_fills_constant_ratio_states_first(rates, transition, eta, full, waiting):
+    # the threshold lands on the level of a state whose conditional law has
+    # one rate
+    model = SmmppModel(np.array(rates), np.array(transition))
+    new, old = markov_optimal(model, eta), scalar_markov_optimal(model, eta)
+    assert abs(predict(new, model).collision - eta) <= COLLISION_TOL
+    assert new.episodes[full] == (Episode(0.0, math.inf),)
+    assert [ep.start > 0.0 for ep in new.episodes[waiting]] == [True]
     assert [len(ctx) for ctx in new.episodes] == [len(ctx) for ctx in old.episodes]
     for ctx_new, ctx_old in zip(new.episodes, old.episodes):
         for ep_new, ep_old in zip(ctx_new, ctx_old):
-            assert (ep_new.start == 0.0) == (ep_old.start == 0.0)
             assert ep_new.start == pytest.approx(ep_old.start, rel=1e-10, abs=0.0)
-            assert ep_new.end == ep_old.end == math.inf
-    pred_new, pred_old = predict(new, model), predict(old, model)
-    assert abs(pred_new.collision - eta) <= COLLISION_TOL
-    assert abs(pred_old.collision - eta) <= COLLISION_TOL
-    assert pred_new.capacity == pytest.approx(pred_old.capacity, rel=1e-10, abs=0.0)
+
+
+def test_markov_optimal_threshold_steps(monkeypatch):
+    # the benchmark's 5-state model at its 12 sweep budgets; a bisection
+    # of the threshold took 34-38 steps per build
+    model = SmmppModel(np.array([2.0, 20.0, 200.0, 2000.0, 20000.0]),
+                       np.full((5, 5), 0.05) + 0.75 * np.eye(5))
+    taus_at = _ConditionalRows.taus_at
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return taus_at(self, *args)
+
+    monkeypatch.setattr(_ConditionalRows, "taus_at", counted)
+    for eta in np.geomspace(0.005, 0.2, 12).tolist():
+        calls.clear()
+        markov_optimal(model, eta)
+        assert len(calls) <= 16, eta
+
+
+@given(model=spread_models(), eta=st.floats(0.001, 0.95))
+def test_crossings_agree_with_bisection_oracle(model, eta):
+    # every law a front-cap or tail constructor crosses: the marginal and
+    # each previous state's conditional law
+    laws = [law for mode in (STAT, MARKOV) for _, law in _context_laws(mode, model)]
+    for law in laws:
+        for tail in (False, True):
+            new = _built(lambda law, mass: _crossing_time(law, mass, tail), law, eta)
+            old = _built(lambda law, mass: bisect_crossing(law, mass, tail), law, eta)
+            if isinstance(new, type) or isinstance(old, type):
+                assert new is old
+                continue
+            # the oracle stops within RESIDUAL_TOL of the mass
+            assert abs(new - old) <= 2 * RESIDUAL_TOL / law.pdf(new) + 1e-15 * new
 
 
 # the constructors that spend the whole budget: all but multiple_shot
