@@ -10,7 +10,7 @@ collision probability by discrete-event simulation.
 from .distribution import HyperExpDist, exponential
 from .errors import ConfigError, DataError, ModelError, OppaccessError, SolverError
 from .fit import FitResult, TailDiagnostics, WindowedFit, em_fit, tail_diagnostics, windowed_fit
-from .simulate import SimResult, outage, run
+from .simulate import SimResult, run
 from .smmpp import (
     IdleTrace,
     NonstationarySchedule,
@@ -47,7 +47,7 @@ __all__ = [
     "exponential", "full_balanced", "full_optimal",
     "generate", "generate_nonstationary", "markov_opt_balanced",
     "markov_optimal", "markov_os_balanced", "markov_os_suboptimal",
-    "multiple_shot", "outage", "predict", "read_trace", "run",
+    "multiple_shot", "predict", "read_trace", "run",
     "stat_one_shot", "stat_optimal", "steady_state", "tail_diagnostics",
     "windowed_fit", "write_trace",
 ]

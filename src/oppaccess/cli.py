@@ -225,33 +225,43 @@ def select_names(args, cfg: dict, sweep_cfg: dict | None = None) -> list[str]:
     return names
 
 
-def _experiment(args, cfg: dict, etas: list[float], names: list[str], seed: int | None):
-    """Build and predict each strategy in `names` at each eta, eta-major, and
-    with a `seed` also run it over the configured trace, strategy k on child
-    k of SeedSequence(seed); write the one report table of `args.command`.
-    Returns the report's header lines and the last SimResult (None without
-    a seed); one SimResult is alive at a time."""
+def _experiment(args, cfg: dict, etas: list[float], names: list[str], seed: int | None,
+                labels: tuple[str, ...] = (), traces=None):
+    """Build and predict each strategy in `names` at each eta, and with a
+    `seed` also run each over every trace `traces` yields, strategy k on
+    child k of SeedSequence(seed); write the one report table of
+    `args.command`, a row per (trace, eta, strategy) in that order.
+    `traces` yields (values of the `labels` columns, trace) pairs, one
+    trace alive at a time; by default it is the configured trace,
+    unlabelled. Returns the report's header lines and the last SimResult
+    (None without a seed)."""
     epsilon = _setting(args, cfg, "epsilon")
     source = design_source(cfg)
-    columns = ["strategy", "eta", "predicted_capacity", "predicted_collision"]
+    columns = ["strategy", "eta", *labels, "predicted_capacity", "predicted_collision"]
     extra = {"command": args.command}
-    if seed is not None:
+    if seed is None:
+        traces = [((), None)]
+    else:
         window = _setting(args, cfg, "window")
-        trace = get_trace(cfg)[0]
+        if traces is None:
+            traces = [((), get_trace(cfg)[0])]
         seeds = np.random.SeedSequence(seed).spawn(len(names))
         columns += ["capacity", "collision", "outage"]
-        extra["cycles"] = trace.n
-    rows, res = [], None
+    designs = []
     for eta in etas:
         for k, name in enumerate(names):
             strategy = build(name, source, eta, epsilon)
-            pred = predict(strategy, source)
-            rows.append([name, eta, pred.capacity, pred.collision])
-            if seed is not None:
-                res = None  # free the last run's arrays before the next run
+            designs.append((k, name, eta, strategy, predict(strategy, source)))
+    rows, res = [], None
+    for values, trace in traces:
+        for k, name, eta, strategy, pred in designs:
+            rows.append([name, eta, *values, pred.capacity, pred.collision])
+            if trace is not None:
                 res = run_strategy(trace, strategy, source=source, seed=seeds[k],
                                    window=window, eta=eta)
                 rows[-1] += [res.capacity, res.collision_prob, res.outage_prob]
+                extra["cycles"] = trace.n
+        trace = None  # free it before the next one is made
     comments = header_lines(cfg, seed, extra)
     write_report(args.out, comments, columns, rows)
     return comments, res
@@ -375,7 +385,23 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     sweep_cfg = _section(cfg, "sweep")
     if "true_weights" in sweep_cfg:
-        return _robustness_sweep(args, cfg, sweep_cfg)
+        # fixed design, drifting truth: one generated trace per true weight vector
+        eta = get_eta(args, cfg)
+        seed = _setting(args, cfg, "seed")
+        cycles = _scalar(sweep_cfg, "sweep.cycles", int, 100_000)
+        true_weights = _numbers(sweep_cfg, "sweep.true_weights")
+        if true_weights.ndim != 2 or not true_weights.size:
+            raise ConfigError("sweep.true_weights must be a non-empty list of weight vectors")
+        names = select_names(args, cfg, sweep_cfg)
+        # unknown names stay, so that build() reports them
+        if any(STRATEGIES[n][0] != STAT for n in names if n in STRATEGIES):
+            raise ConfigError("robustness sweeps support statistical-PTSI strategies only")
+        rates = design_source(cfg).rates
+        traces = ((w.tolist(), generate(HyperExpDist(w, rates), cycles, seed=seed + k))
+                  for k, w in enumerate(true_weights))
+        labels = tuple(f"true_alpha_{i + 1}" for i in range(true_weights.shape[1]))
+        _experiment(args, cfg, [eta], names, seed, labels, traces)
+        return 0
     etas = get_etas(args, sweep_cfg.get("etas"), "sweep.etas")
     seed = None
     if args.simulate or _scalar(sweep_cfg, "sweep.simulate", bool, False):
@@ -383,36 +409,6 @@ def cmd_sweep(args) -> int:
     elif args.seed is not None or args.window is not None:
         raise ConfigError("--seed and --window need --simulate or sweep.simulate")
     _experiment(args, cfg, etas, select_names(args, cfg, sweep_cfg), seed)
-    return 0
-
-
-def _robustness_sweep(args, cfg: dict, sweep_cfg: dict) -> int:
-    """Fixed design, drifting truth: measured collision per true weight
-    vector for the selected strategies."""
-    eta = get_eta(args, cfg)
-    epsilon = _setting(args, cfg, "epsilon")
-    window = _setting(args, cfg, "window")
-    source = design_source(cfg)
-    cycles = _scalar(sweep_cfg, "sweep.cycles", int, 100_000)
-    seed = _setting(args, cfg, "seed")
-    true_weights = _numbers(sweep_cfg, "sweep.true_weights")
-    if true_weights.ndim != 2 or not true_weights.size:
-        raise ConfigError("sweep.true_weights must be a non-empty list of weight vectors")
-    names = select_names(args, cfg, sweep_cfg)
-    strategies = {n: build(n, source, eta, epsilon) for n in names}
-    if any(s.mode != STAT for s in strategies.values()):
-        raise ConfigError("robustness sweeps support statistical-PTSI strategies only")
-    rows = []
-    for k, weights in enumerate(true_weights):
-        trace = generate(HyperExpDist(weights, source.rates), cycles, seed=seed + k)
-        for name in names:
-            res = run_strategy(trace, strategies[name], seed=seed, window=window, eta=eta)
-            rows.append([name, eta] + [float(w) for w in weights]
-                        + [res.capacity, res.collision_prob, res.outage_prob])
-    columns = ["strategy", "eta", *(f"true_alpha_{i + 1}" for i in range(true_weights.shape[1])),
-               "capacity", "collision", "outage"]
-    comments = header_lines(cfg, seed, extra={"command": "sweep-robustness"})
-    write_report(args.out, comments, columns, rows)
     return 0
 
 

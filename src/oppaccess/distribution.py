@@ -86,20 +86,6 @@ class HyperExpDist:
         """Survival function sum(w_i * exp(-lam_i t))."""
         return self._decay(t, self.weights)
 
-    def value_to_cost(self, t):
-        """Ratio ccdf(t)/pdf(t): expected access gained per unit collision risk.
-
-        Nondecreasing in t; runs from 1/sum(w_i lam_i) at t=0 to 1/min(lam)
-        as t grows. Computed on shifted exponentials so it stays finite far
-        into the tail.
-        """
-        t = _as_time_array(t)
-        expo = -np.multiply.outer(t, self.rates)
-        expo -= expo.max(axis=-1, keepdims=True)
-        ex = np.exp(expo)
-        out = (ex @ self.weights) / (ex @ (self.weights * self.rates))
-        return out if out.ndim else float(out)
-
     def mean(self) -> float:
         return float(np.sum(self.weights / self.rates))
 

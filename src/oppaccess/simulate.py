@@ -47,8 +47,6 @@ class SimResult:
     collision_se: float
     window: int
     window_collisions: np.ndarray = field(repr=False)
-    collided: np.ndarray = field(repr=False)
-    access: np.ndarray = field(repr=False)
     first_context: int | None = None
     eta: float | None = None
     outage_prob: float | None = None
@@ -97,31 +95,14 @@ def _check_window(window) -> int:
     return int(window)
 
 
-def _check_eta(eta) -> None:
-    if eta is not None and math.isnan(eta):
-        raise ValueError("eta must not be NaN")
-
-
-def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
-        window: int = DEFAULT_WINDOW, eta: float | None = None) -> SimResult:
-    """Play a strategy over every cycle of a trace.
-
-    ``source`` is only consulted in markov mode (initial conditioning state
-    drawn from its stationary law). Episode transmit probabilities below 1
-    consume one Bernoulli draw per episode per cycle from the seeded
-    stream, so identical (trace, strategy, seed) reproduce exactly. With
-    ``eta`` given, a trace shorter than one window has no outage figure and
-    is refused (DataError) before anything is simulated, as `outage`
-    refuses it.
+def _play(trace: IdleTrace, strategy: Strategy, source, seed):
+    """Per-cycle access (s) and collided flags of `run`, and the drawn first
+    context.
 
     Episodes are played depth by depth: pass j gathers every cycle's j-th
     episode by context id, in blocks of `_BLOCK` cycles, and adds its access
     after pass j-1's, so each cycle sums its episodes in schedule order.
     """
-    window = _check_window(window)
-    _check_eta(eta)
-    if eta is not None and trace.n < window:
-        raise DataError(f"trace too short for a single window of {window} cycles")
     rng = np.random.default_rng(seed)
     states, first_context = _contexts(trace, strategy, source, rng)
     x = trace.durations
@@ -168,6 +149,27 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
             if j:
                 ab += part
                 cb |= hit
+    return access, collided, first_context
+
+
+def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
+        window: int = DEFAULT_WINDOW, eta: float | None = None) -> SimResult:
+    """Play a strategy over every cycle of a trace.
+
+    ``source`` is only consulted in markov mode (initial conditioning state
+    drawn from its stationary law). Episode transmit probabilities below 1
+    consume one Bernoulli draw per episode per cycle from the seeded
+    stream, so identical (trace, strategy, seed) reproduce exactly. With
+    ``eta`` given, a trace shorter than one window has no outage figure and
+    is refused (DataError) before anything is simulated.
+    """
+    window = _check_window(window)
+    if eta is not None and math.isnan(eta):
+        raise ValueError("eta must not be NaN")
+    if eta is not None and trace.n < window:
+        raise DataError(f"trace too short for a single window of {window} cycles")
+    access, collided, first_context = _play(trace, strategy, source, seed)
+    n = trace.n
     total = float(access.sum())
     count = int(collided.sum())
     window_collisions = _window_sums(collided, window)
@@ -181,11 +183,9 @@ def run(trace: IdleTrace, strategy: Strategy, source=None, seed=0,
         collided_count=count,
         collision_prob=count / n,
         capacity_se=_batch_se(access),
-        collision_se=_batch_se(collided.astype(float)),
+        collision_se=_batch_se(collided),
         window=window,
         window_collisions=window_collisions,
-        collided=collided,
-        access=access,
         first_context=first_context,
         eta=eta,
         outage_prob=outage_prob,
@@ -204,14 +204,3 @@ def _batch_se(values: np.ndarray) -> float:
     if means.size >= 2:
         return float(means.std(ddof=1) / math.sqrt(means.size))
     return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-
-
-def outage(result: SimResult, eta: float, window: int | None = None) -> float:
-    """Fraction of full fixed-size windows whose collision rate strictly
-    exceeds the budget."""
-    w = result.window if window is None else _check_window(window)
-    _check_eta(eta)
-    counts = _window_sums(result.collided, w)
-    if not counts.size:
-        raise DataError(f"trace too short for a single window of {w} cycles")
-    return float(np.mean(counts / w > eta))

@@ -5,6 +5,7 @@ slotted allocator brute-forces the budgeted maximization on a discrete
 grid, the high-precision density uses decimal arithmetic, the trace
 generator walks the chain one cycle at a time, and the cross-state optimal
 threshold search solves each previous state's row on its own by bisection,
+the markov one-shot optimum enumerates the vertices of its budget polytope,
 the EM fit runs on sample-major (N, K) arrays, one window group after
 the other, the simulator plays one (context, episode) pair at a time, and
 the front-cap and tail crossings are bisected on the CDF or survival
@@ -36,9 +37,13 @@ from oppaccess.strategies import (
     MARKOV,
     STAT,
     TAU_BRACKET_FACTOR,
+    Episode,
+    Strategy,
     _check_eta,
     _context_laws,
     _episodes_from_taus,
+    _front_cap,
+    predict,
 )
 
 
@@ -376,6 +381,36 @@ def _scalar_finish_with_atoms(model, rows, alpha, taus, eta, at_jump):
             f"could not place residual collision mass {residual:g}; "
             "no state sits at the threshold level")
     return _episodes_from_taus(model, taus, "markov_optimal")
+
+
+def one_shot_vertex_optimum(model, eta: float) -> float:
+    """Largest predicted capacity of a markov one-shot schedule (one front
+    cap from time zero per previous state) that spends eta.
+
+    A front cap's capacity is convex in the mass it spends, since it gains
+    capacity at rate 1/hazard and the hazard falls, so the optimum sits at
+    a vertex of the budget polytope: whole contexts transmit, at most one
+    gets a front cap for the budget left, the rest stay silent. All
+    n * 2^(n-1) vertices are enumerated."""
+    _check_eta(eta)
+    laws = _context_laws(MARKOV, model)
+    alpha = np.array([a for a, _ in laws])
+    n = len(laws)
+    best = -math.inf
+    for capped in range(n):
+        others = [i for i in range(n) if i != capped]
+        for mask in range(2 ** (n - 1)):
+            whole = [i for k, i in enumerate(others) if mask >> k & 1]
+            share = (eta - float(alpha[whole].sum())) / float(alpha[capped])
+            if not 0.0 <= share <= 1.0:
+                continue
+            ctxs = [(Episode(0.0, math.inf),) if i in whole else () for i in range(n)]
+            if share >= 1.0 - 1e-12:
+                ctxs[capped] = (Episode(0.0, math.inf),)
+            elif share > 0.0:
+                ctxs[capped] = (_front_cap(laws[capped][1], share),)
+            best = max(best, predict(Strategy(MARKOV, tuple(ctxs), "vertex"), model).capacity)
+    return best
 
 
 def markov_os_balanced_small_eta_capacity(model, eta: float) -> float:

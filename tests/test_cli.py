@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppaccess.cli import main, make_parser
+from oppaccess import HyperExpDist, SmmppModel, generate, predict, run
+from oppaccess.cli import _fmt, main, make_parser
+from oppaccess.strategies import DEFAULT_EPSILON, build
 
 THREE_STATE = {
     "rates": [5.0, 100.0, 6000.0],
@@ -326,11 +328,11 @@ def test_eval_compare_and_sweep_write_one_table_with_one_seeding(tmp_path):
     cfg = write_config(tmp_path, {"model": THREE_STATE, "trace": {"file": str(trace)},
                                   "strategy": {"eta": 0.1}, "eval": {"seed": 7}})
 
-    def report(*argv):
+    def report(*argv, config=cfg, columns=REPORT_COLUMNS):
         out = tmp_path / "report.csv"
-        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        assert main([*argv, "--config", config, "--out", str(out)]) == 0
         comments, rows = read_table(out)
-        assert all(list(row) == REPORT_COLUMNS for row in rows)
+        assert all(list(row) == columns for row in rows)
         # the played trace's length is on record, a file's too
         assert "# cycles: 3000" in comments
         return rows
@@ -343,6 +345,38 @@ def test_eval_compare_and_sweep_write_one_table_with_one_seeding(tmp_path):
     swept = report("sweep", "--simulate", "--eta", "0.1", "--strategy", names)
     assert one == several[:1]
     assert several == swept
+    # a robustness sweep labels each row with the true weights of its trace
+    robust = write_config(tmp_path, {"model": THREE_STATE, "strategy": {"eta": 0.1},
+                                     "sweep": {"true_weights": [[0.6, 0.3, 0.1]],
+                                               "cycles": 3000}}, name="robust.json")
+    labels = ["true_alpha_1", "true_alpha_2", "true_alpha_3"]
+    report("sweep", "--strategy", "stat_optimal", config=robust,
+           columns=REPORT_COLUMNS[:2] + labels + REPORT_COLUMNS[2:])
+
+
+def test_robustness_rows_are_library_predict_and_run(tmp_path):
+    # the trace of weight vector k is generated from seed + k; strategy j
+    # runs on child j of SeedSequence(seed), as in every simulated report
+    weights = [[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]]
+    names = ["stat_optimal", "multiple_shot", "always_transmit"]
+    cfg = write_config(tmp_path, {
+        "model": THREE_STATE, "strategy": {"eta": 0.05}, "eval": {"seed": 9, "window": 50},
+        "sweep": {"true_weights": weights, "cycles": 3000, "strategies": names}})
+    report = tmp_path / "robust.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(report)]) == 0
+    model = SmmppModel(THREE_STATE["rates"], THREE_STATE["transition"])
+    seeds = np.random.SeedSequence(9).spawn(len(names))
+    want = []
+    for k, w in enumerate(weights):
+        trace = generate(HyperExpDist(w, model.rates), 3000, seed=9 + k)
+        for j, name in enumerate(names):
+            strategy = build(name, model, 0.05, DEFAULT_EPSILON)
+            pred = predict(strategy, model)
+            res = run(trace, strategy, seed=seeds[j], window=50, eta=0.05)
+            want.append([name, 0.05, *w, pred.capacity, pred.collision,
+                         res.capacity, res.collision_prob, res.outage_prob])
+    got = [list(row.values()) for row in read_table(report)[1]]
+    assert got == [[_fmt(v) for v in row] for row in want]
 
 
 @pytest.mark.parametrize("command,cfg", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from oppaccess import HyperExpDist, exponential
+from oppaccess.strategies import _log_ccdf_and_hazard
 
 from _oracles import decimal_mixture_pdf
 
@@ -33,8 +34,6 @@ def test_pdf_rejects_negative_time():
         exponential(1.0).pdf(-1e-9)
     with pytest.raises(ValueError):
         exponential(1.0).cdf(-0.5)
-    with pytest.raises(ValueError):
-        exponential(1.0).value_to_cost(-2.0)
 
 
 def test_cdf_at_origin_is_zero():
@@ -61,25 +60,33 @@ def test_cdf_nondecreasing_and_limits(three_rate_mixture):
     assert vals[-1] > 0.999999
 
 
-def test_value_to_cost_single_exponential_constant():
+def hazard(dist, t):
+    """pdf/ccdf at `t`, as the strategy solver computes it: the inverse of
+    the paper's value-to-cost ratio ccdf/pdf."""
+    return _log_ccdf_and_hazard(dist, float(t))[1]
+
+
+def test_hazard_single_exponential_constant():
     d = exponential(50.0)
     for t in (0.0, 0.01, 1.0, 40.0):
-        assert d.value_to_cost(t) == pytest.approx(0.02, rel=1e-12)
+        assert hazard(d, t) == pytest.approx(50.0, rel=1e-12)
 
 
-def test_value_to_cost_limits(three_rate_mixture):
+def test_hazard_limits(three_rate_mixture):
     d = three_rate_mixture
-    assert d.value_to_cost(0.0) == pytest.approx(1.0 / 2035.0, rel=1e-12)
-    assert d.value_to_cost(1.0) == pytest.approx(0.2, rel=1e-6)
+    assert hazard(d, 0.0) == pytest.approx(2035.0, rel=1e-12)
+    assert hazard(d, 1.0) == pytest.approx(5.0, rel=1e-6)
 
 
-def test_value_to_cost_nondecreasing_on_dense_grid(three_rate_mixture):
+def test_hazard_nonincreasing_on_dense_grid(three_rate_mixture):
+    # so the value-to-cost ratio is nondecreasing, which makes tail
+    # policies optimal
     grid = np.geomspace(1e-8, 3.0, 2000)
-    vals = three_rate_mixture.value_to_cost(grid)
-    assert np.all(np.diff(vals) >= -1e-16 * vals[:-1])
-    # strict growth away from the saturated tail
+    vals = np.array([hazard(three_rate_mixture, t) for t in grid])
+    assert np.all(np.diff(vals) <= 1e-16 * vals[:-1])
+    # strict decrease away from the saturated tail
     body = vals[grid < 0.3]
-    assert np.all(np.diff(body) > 0)
+    assert np.all(np.diff(body) < 0)
 
 
 def test_ccdf_complements_cdf(three_rate_mixture):

@@ -25,7 +25,6 @@ from oppaccess import (
     markov_os_balanced,
     markov_os_suboptimal,
     multiple_shot,
-    outage,
     predict,
     run,
     stat_one_shot,
@@ -80,9 +79,9 @@ def test_multiple_shot_collision_stays_under_budget(three_rate_mixture, medium_t
 
 def test_access_never_exceeds_idle_time(three_rate_mixture, medium_trace):
     s = stat_one_shot(three_rate_mixture, 0.2)
-    res = run(medium_trace, s, seed=9)
-    assert np.all(res.access <= medium_trace.durations + 1e-15)
-    assert res.total_access < float(medium_trace.durations.sum())
+    access = simulate._play(medium_trace, s, None, 9)[0]
+    assert np.all(access <= medium_trace.durations + 1e-15)
+    assert run(medium_trace, s, seed=9).total_access < float(medium_trace.durations.sum())
 
 
 def test_capacity_monotone_in_eta(three_state_model, three_rate_mixture):
@@ -110,7 +109,7 @@ def test_run_is_deterministic(three_state_model, medium_trace):
     b = run(medium_trace, s, source=three_state_model, seed=123)
     assert a.capacity == b.capacity
     assert a.collided_count == b.collided_count
-    assert np.array_equal(a.collided, b.collided)
+    assert np.array_equal(a.window_collisions, b.window_collisions)
     assert a.first_context == b.first_context
 
 
@@ -159,30 +158,26 @@ def test_first_context_drawn_for_markov(three_state_model):
 
 def test_outage_extremes(three_rate_mixture, medium_trace):
     silent = Strategy("stat", ((),), "silent")
-    res0 = run(medium_trace, silent, seed=0)
-    assert outage(res0, eta=0.05) == 0.0
-    res1 = run(medium_trace, always_transmit(), seed=0)
-    assert outage(res1, eta=0.99) == 1.0
+    assert run(medium_trace, silent, seed=0, eta=0.05).outage_prob == 0.0
+    assert run(medium_trace, always_transmit(), seed=0, eta=0.99).outage_prob == 1.0
 
 
 def test_outage_recomputable_at_other_windows(three_rate_mixture, medium_trace):
+    # run's window counts and outage against a re-windowing of the oracle's
+    # per-cycle collisions
     s = stat_optimal(three_rate_mixture, 0.1)
-    res = run(medium_trace, s, seed=2, window=100, eta=0.1)
-    assert res.outage_prob == pytest.approx(outage(res, 0.1, window=100))
-    # run and outage count windows through one kernel: equal to the bit
-    assert res.outage_prob == outage(res, 0.1)
-    alt = outage(res, 0.1, window=500)
-    assert 0.0 <= alt <= 1.0
+    collided = per_episode_run(medium_trace, s, seed=2)[1]
+    for window in (100, 500, 100.0):
+        res = run(medium_trace, s, seed=2, window=window, eta=0.1)
+        w = int(window)
+        counts = collided[:medium_trace.n // w * w].reshape(-1, w).sum(axis=1)
+        assert np.array_equal(res.window_collisions, counts)
+        assert res.outage_prob == float(np.mean(counts / w > 0.1))
     with pytest.raises(DataError):
-        outage(res, 0.1, window=10**9)
-    assert outage(res, 0.1, window=100.0) == res.outage_prob
+        run(medium_trace, s, seed=2, window=10**9, eta=0.1)
     for window in (2.5, True, np.bool_(True), "3", math.nan):
         with pytest.raises(ValueError, match="window"):
-            outage(res, 0.1, window=window)
-        with pytest.raises(ValueError, match="window"):
             run(medium_trace, s, seed=2, window=window)
-    with pytest.raises(ValueError, match="eta"):
-        outage(res, math.nan)
     with pytest.raises(ValueError, match="eta"):
         run(medium_trace, s, seed=2, eta=math.nan)
 
@@ -298,12 +293,14 @@ def test_run_agrees_with_per_episode_oracle(sim, seed, block):
     # small blocks put block edges inside short traces
     trace, strategy, source = sim
     with mock.patch.object(simulate, "_BLOCK", block):
+        got = simulate._play(trace, strategy, source, seed)
         res = run(trace, strategy, source=source, seed=seed, window=1)
     access, collided, first = per_episode_run(trace, strategy, source=source, seed=seed)
-    assert res.access.tobytes() == access.tobytes()
-    assert np.array_equal(res.collided, collided)
-    assert res.first_context == first
+    assert got[0].tobytes() == access.tobytes()
+    assert np.array_equal(got[1], collided)
+    assert got[2] == res.first_context == first
     assert res.total_access == float(access.sum())
+    assert np.array_equal(res.window_collisions, collided)
     for got, want in ((res.capacity_se, _batch_se(access)),
                       (res.collision_se, _batch_se(collided.astype(float)))):
         assert got == want or (math.isnan(got) and math.isnan(want))

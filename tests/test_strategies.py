@@ -43,6 +43,7 @@ from _oracles import (
     decimal_crossing,
     markov_os_balanced_small_eta_capacity,
     multiple_shot_small_eta_capacity,
+    one_shot_vertex_optimum,
     scalar_markov_optimal,
     slotted_greedy_capacity,
     solve_root,
@@ -520,6 +521,23 @@ def test_capacity_orderings_hold_on_random_models(model, eta):
     for higher, lower in CAPACITY_ORDERINGS:
         if higher in capacity and lower in capacity:
             assert capacity[higher] >= capacity[lower] * (1 - 1e-8), (higher, lower)
+
+
+@given(model=spread_models(), eta=st.floats(0.001, 0.95))
+def test_markov_one_shot_pair_below_vertex_optimum(model, eta):
+    # the exact one-shot optimum sits between the optimal allocation and
+    # the two one-shot heuristics
+    optimum = one_shot_vertex_optimum(model, eta)
+    built = {name: _built(ctor, model, eta) for name, ctor in (
+        ("markov_optimal", markov_optimal), ("markov_os_balanced", markov_os_balanced),
+        ("markov_os_suboptimal", markov_os_suboptimal))}
+    capacity = {name: predict(s, model).capacity for name, s in built.items()
+                if not isinstance(s, type)}
+    if "markov_optimal" in capacity:
+        assert capacity["markov_optimal"] >= optimum * (1 - 1e-8)
+    for name in ("markov_os_balanced", "markov_os_suboptimal"):
+        if name in capacity:
+            assert optimum >= capacity[name] * (1 - 1e-8), name
 
 
 @pytest.mark.parametrize("eta", ETAS)
