@@ -3,6 +3,7 @@ and windowed fits for non-stationarity analysis."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,9 @@ from .errors import DataError
 
 EM_TOL = 1e-8
 EM_MAX_ITER = 2000
+_EM_BLOCK = 16_384  # samples per E/M block: the block's buffers stay in cache
+_EXP_FLOOR = -700.0  # exp below about -708 leaves the fast path; see `_em_step`
+_EXP_ZERO = math.exp(_EXP_FLOOR)  # the double np.exp gives; np.exp would load its loop at import
 MERGE_RATE_RTOL = 0.05
 KNEE_CANDIDATES = 50
 SEGMENT_GRID_POINTS = 150
@@ -46,23 +50,36 @@ def _validate_samples(samples, minimum: int) -> np.ndarray:
     return x
 
 
-def default_init(samples: np.ndarray, n_components: int) -> HyperExpDist:
-    """Deterministic starting point: rates log-uniform across the sample
-    scale, equal weights.
+def _starts(rows: np.ndarray, n_components: int):
+    """Deterministic starting points of G fits at once, one per row of
+    ``rows`` (G, n): equal weights and rates log-uniform across the row's
+    sample scale, both (K, G).
 
     The scale runs between the inverse 98th and 2nd percentiles rather than
     the inverse extremes; anchoring on min/max plants a component on the
-    single smallest observation, which EM then never lets go of.
+    single smallest observation, which EM then never lets go of. A flat row
+    gets rates a factor 1 + 1e-6 apart and K = 1 the inverse mean. Only rows
+    with a spread go through `np.geomspace`: on arrays it switches its
+    formula for every row as soon as one row has a zero step.
     """
-    lo = 1.0 / float(np.quantile(samples, 0.98))
-    hi = 1.0 / float(np.quantile(samples, 0.02))
+    q_hi, q_lo = np.quantile(rows, [0.98, 0.02], axis=1)
+    lo, hi = 1.0 / q_hi, 1.0 / q_lo
     if n_components == 1:
-        rates = np.array([1.0 / samples.mean()])
-    elif hi <= lo * (1 + 1e-12):
-        rates = lo * (1 + 1e-6) ** np.arange(n_components)
+        rates = 1.0 / rows.mean(axis=1, keepdims=True)
     else:
-        rates = np.geomspace(lo, hi, n_components)
-    return HyperExpDist(np.full(n_components, 1.0 / n_components), rates)
+        rates = lo[:, None] * (1 + 1e-6) ** np.arange(n_components)
+        spread = hi > lo * (1 + 1e-12)
+        if np.any(spread):
+            rates[spread] = np.geomspace(lo[spread], hi[spread], n_components, axis=1)
+    return np.full((n_components, rows.shape[0]), 1.0 / n_components), rates.T
+
+
+def default_init(samples: np.ndarray, n_components: int) -> HyperExpDist:
+    """Deterministic starting point of a fit: equal weights, rates
+    log-uniform between the inverse 98th and 2nd percentiles (`_starts`
+    on one row)."""
+    w, lam = _starts(np.asarray(samples, dtype=float).reshape(1, -1), n_components)
+    return HyperExpDist(w[:, 0], lam[:, 0])
 
 
 def _check_components(n_components: int) -> None:
@@ -70,30 +87,76 @@ def _check_components(n_components: int) -> None:
         raise ValueError("n_components must be >= 1")
 
 
-def _em_step(x: np.ndarray, w: np.ndarray, lam: np.ndarray, buf: np.ndarray,
-             scratch: np.ndarray):
-    """One EM iteration of G independent K-component fits, component-major.
+def _blocks(n_rows: int, n: int):
+    """(row_start, row_stop, col_start, col_stop) of the E/M blocks over
+    ``n_rows`` rows of ``n`` samples: column blocks of one row when n is
+    larger than _EM_BLOCK, otherwise as many whole rows as fit. A row's
+    blocks depend only on n, so each row is cut the same way in any batch."""
+    if n > _EM_BLOCK:
+        for g in range(n_rows):
+            for j in range(0, n, _EM_BLOCK):
+                yield g, g + 1, j, min(j + _EM_BLOCK, n)
+    else:
+        per = _EM_BLOCK // n
+        for g in range(0, n_rows, per):
+            yield g, min(g + per, n_rows), 0, n
 
-    ``x`` is (G, n): one row of samples per fit; ``w`` and ``lam`` are
-    (K, G). ``buf`` (K, G, n) and ``scratch`` (G, n) are overwritten. The
-    E-step works in log space, log w_k + log lam_k - lam_k x_i, so widely
-    separated rates do not underflow; the normaliser adds the K rows in
-    order. Returns each fit's log-likelihood under (w, lam), then the
-    responsibility masses and responsibility-weighted sample sums, both
-    (K, G): the M-step's weights are mass / n and its rates mass / sums.
+
+def _em_buffers(n_components: int, n_rows: int, n: int):
+    """Block-sized work buffers for `_em_step`: exponentials, normaliser
+    and the (1/S, x/S) pair."""
+    size = _EM_BLOCK if n > _EM_BLOCK else n * min(n_rows, _EM_BLOCK // n)
+    return np.empty(n_components * size), np.empty(size), np.empty(2 * size)
+
+
+def _em_step(x: np.ndarray, xsum: np.ndarray, w: np.ndarray, lam: np.ndarray, bufs):
+    """One EM iteration of G independent K-component fits, block by block.
+
+    ``x`` is (G, n): one row of samples per fit, ``xsum`` (G,) its row
+    sums; ``w`` and ``lam`` are (K, G). ``bufs`` comes from `_em_buffers`
+    and is overwritten. Each fit works relative to its slowest component
+    r: e_k = exp(c_k - d_k x) with c_k = log(w_k lam_k) - log(w_r lam_r)
+    and d_k = lam_k - lam_r >= 0, so e_r = 1 and the normaliser
+    S = sum_k e_k >= 1 needs no max shift. The log-likelihood is
+    n log(w_r lam_r) - lam_r sum(x) + sum(log S). The responsibility
+    masses and responsibility-weighted sample sums, both (K, G), come from
+    one batched matmul of e against (1/S, x/S); the M-step's weights are
+    mass / n and its rates mass / sums. Partial sums are added in block
+    order. Returns the log-likelihoods under (w, lam), masses and sums.
+
+    Exponents below _EXP_FLOOR are raised to it, and e^_EXP_FLOOR is taken
+    off again: those terms come out as 0, while any term above about
+    1e-288 keeps its bits. numpy's exp is many times slower per element
+    for results below about e^-708, and a fit with well separated rates
+    has many of them.
     """
-    np.multiply(lam[:, :, None], x, out=buf)
-    np.subtract((np.log(w) + np.log(lam))[:, :, None], buf, out=buf)
-    buf.max(axis=0, out=scratch)
-    ll = scratch.sum(axis=1)
-    buf -= scratch
-    np.exp(buf, out=buf)
-    buf.sum(axis=0, out=scratch)
-    buf /= scratch
-    ll += np.log(scratch, out=scratch).sum(axis=1)
-    mass = buf.sum(axis=2)
-    sums = np.matmul(buf.transpose(1, 0, 2), x[:, :, None])[:, :, 0].T
-    return ll, mass, sums
+    n_rows, n = x.shape
+    k = lam.shape[0]
+    ref = lam.argmin(axis=0), np.arange(n_rows)  # each fit's slowest component
+    log_wl = np.log(w) + np.log(lam)
+    c = (log_wl - log_wl[ref]).T[:, :, None]
+    d = (lam - lam[ref]).T[:, :, None]
+    stats = np.zeros((n_rows, k, 2))
+    log_s = np.zeros(n_rows)
+    e_buf, s_buf, p_buf = bufs
+    for g0, g1, j0, j1 in _blocks(n_rows, n):
+        xb = x[g0:g1, j0:j1]
+        shape = xb.shape
+        e = e_buf[:k * xb.size].reshape(shape[0], k, shape[1])
+        np.multiply(d[g0:g1], xb[:, None, :], out=e)
+        np.subtract(c[g0:g1], e, out=e)
+        np.maximum(e, _EXP_FLOOR, out=e)
+        np.exp(e, out=e)
+        e -= _EXP_ZERO
+        s = s_buf[:xb.size].reshape(shape)
+        e.sum(axis=1, out=s)
+        p = p_buf[:2 * xb.size].reshape(2, *shape)
+        np.divide(1.0, s, out=p[0])
+        np.multiply(xb, p[0], out=p[1])
+        stats[g0:g1] += np.matmul(e, p.transpose(1, 2, 0))
+        log_s[g0:g1] += np.log(s, out=s).sum(axis=1)
+    ll = n * log_wl[ref] - lam[ref] * xsum + log_s
+    return ll, stats[:, :, 0].T, stats[:, :, 1].T
 
 
 def _fit_result(w, lam, history, n_iter: int, converged: bool, dropped: int) -> FitResult:
@@ -116,21 +179,22 @@ def _converged(ll, ll_prev):
 def em_fit(samples, n_components: int, init: HyperExpDist | None = None) -> FitResult:
     """Maximum-likelihood mixture fit via EM.
 
-    Runs `_em_step` on one fit: component-major (K, 1, N) buffers,
-    allocated once. Components whose responsibility mass vanishes are
-    dropped (and counted); after convergence, rates within 5% of each other
-    are merged into one weight-pooled component.
+    Runs `_em_step` on one fit, from `_starts` unless ``init`` is given.
+    Components whose responsibility mass vanishes are dropped (and
+    counted); after convergence, rates within 5% of each other are merged
+    into one weight-pooled component.
     """
     _check_components(n_components)
     x = _validate_samples(samples, 10 * n_components)
+    rows = x[None]
     if init is None:
-        init = default_init(x, n_components)
+        w, lam = _starts(rows, n_components)
     elif init.n != n_components:
         raise ValueError("init component count does not match n_components")
-    w, lam = init.weights[:, None], init.rates[:, None]
-    rows = x[None]
-    buf = np.empty((n_components, 1, x.size))
-    scratch = np.empty_like(rows)
+    else:
+        w, lam = init.weights[:, None], init.rates[:, None]
+    xsum = rows.sum(axis=1)
+    bufs = _em_buffers(n_components, 1, x.size)
 
     history = []
     dropped = 0
@@ -138,8 +202,11 @@ def em_fit(samples, n_components: int, init: HyperExpDist | None = None) -> FitR
     ll_prev = None
     it = 0
     for it in range(1, EM_MAX_ITER + 1):
-        ll, mass, sums = _em_step(rows, w, lam, buf[:lam.shape[0]], scratch)
+        ll, mass, sums = _em_step(rows, xsum, w, lam, bufs)
         ll = float(ll[0])
+        if not np.isfinite(ll):
+            raise DataError("log-likelihood is not finite: samples outside the fit's "
+                            "floating-point range")
         history.append(ll)
         alive = mass[:, 0] > x.size * 1e-15
         if not np.all(alive):
@@ -292,11 +359,12 @@ class WindowedFit:
 def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
     """Fit each sequential group of ``group_size`` samples separately.
 
-    All groups run as one batch through `_em_step`, in (K, G, group_size)
-    buffers, each from its own `default_init`. A group leaves the batch when
+    All groups run as one batch through `_em_step`, from one batch of
+    `_starts`, with block-sized buffers. A group leaves the batch when
     it converges, or at EM_MAX_ITER iterations with ``converged=False``. A
-    group in which a component would be dropped leaves the batch too and
-    is refit from the start through `em_fit`, which counts the drop. Each
+    group in which a component would be dropped, or whose log-likelihood
+    is not finite, leaves the batch too and is refit from the start
+    through `em_fit`, which counts the drop or raises. Each
     group's result equals, bit for bit, `em_fit` on that group alone.
 
     Returns results in group order; a group whose fit raises is recorded as
@@ -311,11 +379,9 @@ def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
     if n_groups < 1:
         raise DataError("not enough samples for a single group")
     chunks = x[:n_groups * group_size].reshape(n_groups, group_size)
-    inits = [default_init(chunk, n_components) for chunk in chunks]
-    w = np.array([d.weights for d in inits]).T
-    lam = np.array([d.rates for d in inits]).T
-    buf = np.empty(n_components * chunks.size)
-    scratch = np.empty(chunks.size)
+    w, lam = _starts(chunks, n_components)
+    xsum = chunks.sum(axis=1)
+    bufs = _em_buffers(n_components, n_groups, group_size)
     history = np.empty((64, n_groups))  # (iteration, group), grown by doubling
 
     results = [None] * n_groups
@@ -326,13 +392,11 @@ def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
     it = 0
     while active.size:
         it += 1
-        ll, mass, sums = _em_step(rows, w, lam,
-                                  buf[:n_components * rows.size].reshape(n_components, *rows.shape),
-                                  scratch[:rows.size].reshape(rows.shape))
+        ll, mass, sums = _em_step(rows, xsum, w, lam, bufs)
         if it > history.shape[0]:
             history = np.concatenate([history, np.empty_like(history)])
         history[it - 1, active] = ll
-        alive = np.all(mass > group_size * 1e-15, axis=0)
+        alive = np.all(mass > group_size * 1e-15, axis=0) & np.isfinite(ll)
         converged = _converged(ll, ll_prev)
         done = alive & (converged | (it == EM_MAX_ITER))
         for j in np.flatnonzero(done):
@@ -342,7 +406,7 @@ def windowed_fit(samples, group_size: int, n_components: int) -> WindowedFit:
         refit.extend(active[~alive].tolist())
         stay = alive & ~done
         if not np.all(stay):
-            active, rows, ll = active[stay], rows[stay], ll[stay]
+            active, rows, xsum, ll = active[stay], rows[stay], xsum[stay], ll[stay]
             mass, sums = mass[:, stay], sums[:, stay]
         ll_prev = ll
         w, lam = mass / group_size, mass / sums

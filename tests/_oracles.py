@@ -7,10 +7,11 @@ generator walks the chain one cycle at a time, and the cross-state optimal
 threshold search solves each previous state's row on its own by bisection,
 the markov one-shot optimum enumerates the vertices of its budget polytope,
 the EM fit runs on sample-major (N, K) arrays, one window group after
-the other, the simulator plays one (context, episode) pair at a time, and
-the front-cap and tail crossings are bisected on the CDF or survival
-function, or bisected in decimal arithmetic. The two small-eta closed
-forms live here because only the tests use them.
+the other, its starts are computed one scalar at a time, the simulator
+plays one (context, episode) pair at a time, and the front-cap and tail
+crossings are bisected on the CDF or survival function, or bisected in
+decimal arithmetic. The two small-eta closed forms live here because
+only the tests use them.
 """
 
 import math
@@ -438,6 +439,20 @@ def multiple_shot_small_eta_capacity(weights, rates, eta: float,
         total += w[j] * sum(math.exp(-r[j] * wait[i + 1]) * eta / r[i]
                             for i in range(j, n - 1))
     return float(total)
+
+
+def scalar_default_init(samples: np.ndarray, n_components: int) -> HyperExpDist:
+    """`fit.default_init` one scalar at a time: two scalar quantiles and a
+    scalar `np.geomspace`, the starts' formula before it was batched."""
+    lo = 1.0 / float(np.quantile(samples, 0.98))
+    hi = 1.0 / float(np.quantile(samples, 0.02))
+    if n_components == 1:
+        rates = np.array([1.0 / samples.mean()])
+    elif hi <= lo * (1 + 1e-12):
+        rates = lo * (1 + 1e-6) ** np.arange(n_components)
+    else:
+        rates = np.geomspace(lo, hi, n_components)
+    return HyperExpDist(np.full(n_components, 1.0 / n_components), rates)
 
 
 def row_major_em_fit(samples, n_components: int, init: HyperExpDist | None = None) -> FitResult:
