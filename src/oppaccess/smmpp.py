@@ -175,6 +175,8 @@ class NonstationarySchedule:
 # The walk composes per-cycle transition maps within blocks of _BLOCK cycles
 # and steps through block heads only; _CHUNK_MAPS bounds the map entries
 # (cycles x states, one byte each for up to 256 states) held at once.
+# `_fill` works in chunks of the same cycle count, so it holds no temporary
+# as long as the trace.
 _BLOCK = 1024
 _CHUNK_MAPS = 1 << 20
 
@@ -224,17 +226,19 @@ def _fill(model: SmmppModel, rng: np.random.Generator, durations: np.ndarray,
     cum[:, -1] = 1.0
     u = rng.random(states.size)
     state = states[0] = _initial_state(model, rng)
+    iid = (model.transition == model.transition[0]).all()
+    chunk = max(1, _CHUNK_MAPS // (_BLOCK * model.n)) * _BLOCK
     # the draw of the last cycle picks a successor that is never recorded
-    if (model.transition == model.transition[0]).all():
-        # i.i.d. states: the next state does not depend on the current one
-        states[1:] = np.searchsorted(cum[0], u[:-1], side="right")
-    else:
-        chunk = max(1, _CHUNK_MAPS // (_BLOCK * model.n)) * _BLOCK
-        for start in range(0, states.size - 1, chunk):
-            stop = min(start + chunk, states.size - 1)
+    for start in range(0, states.size - 1, chunk):
+        stop = min(start + chunk, states.size - 1)
+        if iid:  # the next state does not depend on the current one
+            states[start + 1:stop + 1] = np.searchsorted(cum[0], u[start:stop], side="right")
+        else:
             state = _walk(cum, u[start:stop], state, states[start + 1:stop + 1])
+    del u
     rng.standard_exponential(out=durations)
-    durations /= model.rates[states]
+    for start in range(0, states.size, chunk):
+        durations[start:start + chunk] /= model.rates[states[start:start + chunk]]
 
 
 def generate(model: SmmppModel | HyperExpDist, n_cycles: int, seed) -> IdleTrace:

@@ -10,7 +10,6 @@ labels are 0-based).
 from __future__ import annotations
 
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .smmpp import IdleTrace
 TRACE_HEADER = "# oppaccess-trace v1"
 _SEGMENT_PREFIX = "# segment: cycle="
 
-# cycles formatted per write, and characters parsed per np.loadtxt call
+# cycles formatted per write, and bytes read per piece of a parsed file
 _WRITE_CHUNK = 1 << 14
 _READ_CHUNK = 1 << 16
 # printable ASCII, tab and newline: the only characters the fast reader takes
@@ -174,62 +173,73 @@ _FORMAT_SOURCES, _FORMAT_KEEP, _FORMAT_BODY, _FORMAT_FRACTION = _format_classes(
 def read_trace(path) -> IdleTrace:
     """Parse a trace file; raises DataError naming the offending line.
 
-    Files in the strict grammar `write_trace` produces are parsed in one
-    vectorised pass (`_parse_plain`); every other file, and every file that
-    pass refuses, goes through the line parser, the only source of errors.
+    Files in the strict grammar `write_trace` produces are parsed as a
+    stream of line-aligned pieces (`_parse_plain`); every other file, and
+    every file that pass refuses, is read again whole and goes through the
+    line parser, the only source of errors.
     """
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as fh:
+            trace = _parse_plain(_pieces(fh))
+            if trace is not None:
+                return trace
+            fh.seek(0)
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read trace file {path}: {exc}") from exc
-    trace = _parse_plain(text)
-    return trace if trace is not None else _parse_lines(text, path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"trace file {path} is not UTF-8: byte {exc.start} ({exc.reason})") from exc
+    return _parse_lines(text, path)
 
 
-def _parse_plain(text: str) -> IdleTrace | None:
-    """The trace in `text`, or None unless every line is a comment (`#` in
-    its first column) or a data line `duration[,state]` that np.loadtxt
-    reads with the values the line parser would give, and IdleTrace takes
-    the result.
+def _pieces(fh):
+    """The bytes of `fh` in pieces of about `_READ_CHUNK` bytes, each cut
+    after its last line end; a line longer than a piece grows the piece."""
+    rest = b""
+    while block := fh.read(_READ_CHUNK):
+        rest += block
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _parse_plain(pieces) -> IdleTrace | None:
+    """The trace in the byte `pieces` (each starting a line), or None unless
+    every line is a comment (`#` in its first column) or a data line
+    `duration[,state]` that np.loadtxt reads with the values the line
+    parser would give, and IdleTrace takes the result.
 
     Only printable ASCII, tab and newline are taken: on these np.loadtxt
     and float()/int() agree on what a number is. `state` is read as an
     integer, never as a float. Any warning from np.loadtxt also refuses the
     file: numpy releases that still parse `2.0` as the integer 2 say so only
-    by a DeprecationWarning, and a chunk without data (blank lines between
+    by a DeprecationWarning, and a span without data (blank lines between
     comments) warns as well.
     """
-    if not text.isascii():
-        return None
-    spans, boundaries = [], [0]
-    pos = 0
-    while pos < len(text):
-        mark = text.find("#", pos)
-        if mark == -1:
-            spans.append((pos, len(text)))
-            break
-        if mark and text[mark - 1] != "\n":
+    parts, boundaries = [], [0]
+    for piece in pieces:
+        if piece.translate(None, _PLAIN):
             return None
-        spans.append((pos, mark))
-        end = text.find("\n", mark)
-        end = len(text) if end == -1 else end
-        comment = text[mark:end]
-        if not _plain(comment):
-            return None
-        if comment.startswith(_SEGMENT_PREFIX):
-            try:
-                boundaries.append(int(comment[len(_SEGMENT_PREFIX):]))
-            except ValueError:
+        text = piece.decode("ascii")
+        spans, pos = [], 0
+        while (mark := text.find("#", pos)) != -1:
+            if mark and text[mark - 1] != "\n":
                 return None
-        pos = end + 1
-    parts = []
-    for lo, hi in spans:
-        while lo < hi:
-            cut = text.find("\n", lo + _READ_CHUNK, hi)
-            cut = hi if cut == -1 else cut + 1
-            chunk = text[lo:cut]
-            if not _plain(chunk):
-                return None
+            spans.append(text[pos:mark])
+            pos = text.find("\n", mark) + 1 or len(text)
+            if text.startswith(_SEGMENT_PREFIX, mark):
+                try:
+                    boundaries.append(int(text[mark + len(_SEGMENT_PREFIX):pos]))
+                except ValueError:
+                    return None
+        spans.append(text[pos:])
+        for chunk in filter(None, spans):
             if not parts:  # a comma past the first line fails either way
                 labelled = "," in chunk
                 dtype = np.dtype(list(_COLUMNS if labelled else _COLUMNS[:1]))
@@ -240,23 +250,19 @@ def _parse_plain(text: str) -> IdleTrace | None:
                                             delimiter=",", comments=None, ndmin=1))
             except (ValueError, Warning):
                 return None
-            lo = cut
     if not parts:
         return None
     durations = np.concatenate([part["duration"] for part in parts])
     states = None
     if labelled:
-        states = np.concatenate([part["state"] for part in parts]) - 1
+        states = np.concatenate([part["state"] for part in parts])
+        states -= 1
+    del parts  # IdleTrace's checks then add to the joined arrays alone
     try:
         return IdleTrace(durations, states,
                          tuple(b for b in boundaries if b < durations.size))
     except ValueError:
         return None
-
-
-def _plain(ascii_text: str) -> bool:
-    """Whether `ascii_text` holds only printable ASCII, tab and newline."""
-    return not ascii_text.encode("ascii").translate(None, _PLAIN)
 
 
 def _parse_lines(text: str, path) -> IdleTrace:

@@ -1,5 +1,7 @@
+import io
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from oppaccess import DataError, IdleTrace, generate, read_trace, write_trace
 from oppaccess import traceio
+from oppaccess.cli import main
 from oppaccess.traceio import _parse_lines, _parse_plain
 
 
@@ -25,7 +28,7 @@ def test_round_trip_with_labels_and_boundaries(tmp_path, three_state_model):
     text = path.read_text()
     assert text.startswith("# oppaccess-trace v1\n")
     assert "# segment: cycle=200" in text
-    assert _parse_plain(text) is not None
+    assert _parse_plain([text.encode()]) is not None
 
 
 def test_round_trip_without_labels(tmp_path):
@@ -35,7 +38,7 @@ def test_round_trip_without_labels(tmp_path):
     back = read_trace(path)
     assert back.states is None
     assert np.allclose(back.durations, trace.durations)
-    assert _parse_plain(path.read_text()) is not None
+    assert _parse_plain([path.read_text().encode()]) is not None
 
 
 @pytest.mark.parametrize("line", ["note", "# a\n0.5,1", "# segment: cycle=1", "# a\n",
@@ -139,8 +142,67 @@ def test_fast_reader_agrees_with_line_parser(tmp_path, text):
     path.write_bytes(text.encode())
     expected = _outcome(lambda: _parse_lines(path.read_text(), path))
     assert _outcome(lambda: read_trace(path)) == expected
-    fast = _outcome(lambda: _parse_plain(path.read_text()))
+    fast = _outcome(lambda: _parse_plain([path.read_text().encode()]))
     assert fast is None or fast == expected
+
+
+def _streamed(data: bytes):
+    """The fast reader's trace of `data`, cut into pieces as `read_trace` cuts a file."""
+    return _parse_plain(traceio._pieces(io.BytesIO(data)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("text", PARSER_INPUTS)
+def test_fast_reader_agrees_with_line_parser_in_small_pieces(tmp_path, text, chunk):
+    # pieces this small split comments, markers, labels and lines
+    path = tmp_path / "t.trace"
+    path.write_bytes(text.encode())
+    expected = _outcome(lambda: _parse_lines(path.read_text(), path))
+    with mock.patch.object(traceio, "_READ_CHUNK", chunk):
+        assert _outcome(lambda: read_trace(path)) == expected
+        fast = _outcome(lambda: _streamed(text.encode()))
+    assert fast is None or fast == expected
+
+
+def test_labelled_round_trip_in_pieces_across_segment_markers(tmp_path, three_state_model):
+    trace = generate(three_state_model, 300, seed=3)
+    labelled = IdleTrace(trace.durations, trace.states, (0, 101, 205))
+    path = tmp_path / "t.trace"
+    write_trace(labelled, path, extra_header=["# " + "long comment " * 20])
+    expected = _outcome(lambda: _parse_lines(path.read_text(), path))
+    assert expected[2] == (0, 101, 205)
+    with mock.patch.object(traceio, "_READ_CHUNK", 97):
+        fast = _outcome(lambda: _streamed(path.read_bytes()))
+        assert _outcome(lambda: read_trace(path)) == expected
+    assert fast == expected
+
+
+@pytest.mark.parametrize("data, offset", [(b"0.5\n\xff\n", 4),
+                                          (b"# caf\xe9\n0.5\n", 5)])
+def test_non_utf8_file_is_a_data_error(tmp_path, capsys, data, offset):
+    path = tmp_path / "t.trace"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=re.escape(f"{path} is not UTF-8: byte {offset} (")):
+        read_trace(path)
+    assert main(["fit", str(path), "--components", "1"]) == 3
+    assert capsys.readouterr().err.splitlines()[0].startswith(
+        f"data error: trace file {path} is not UTF-8: byte {offset} (")
+
+
+@pytest.mark.parametrize("labelled", [True, False])
+def test_read_peaks_at_twice_its_result(tmp_path, three_state_model, labelled):
+    # numpy reports its buffers to tracemalloc, so the bound holds on any host
+    trace = generate(three_state_model, 200_000, seed=1)
+    path = tmp_path / "t.trace"
+    write_trace(IdleTrace(trace.durations, trace.states if labelled else None), path)
+    tracemalloc.start()
+    try:
+        back = read_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = back.durations.nbytes + (back.states.nbytes if labelled else 0)
+    assert peak <= 2 * result + 500_000, (peak, result)
 
 
 def test_fast_reader_refuses_when_loadtxt_warns(tmp_path, monkeypatch):
@@ -154,7 +216,7 @@ def test_fast_reader_refuses_when_loadtxt_warns(tmp_path, monkeypatch):
     monkeypatch.setattr(traceio.np, "loadtxt", warning_loadtxt)
     path = tmp_path / "t.trace"
     path.write_text("0.1,1\n0.2,2\n")
-    assert _outcome(lambda: _parse_plain(path.read_text())) is None
+    assert _outcome(lambda: _parse_plain([path.read_text().encode()])) is None
     assert _outcome(lambda: read_trace(path)) == ([0.1, 0.2], [0, 1], (0,))
 
 
@@ -178,7 +240,15 @@ def trace_texts(draw):
 
 @given(trace_texts())
 def test_fast_reader_never_disagrees_with_line_parser(text):
-    fast = _outcome(lambda: _parse_plain(text))
+    fast = _outcome(lambda: _parse_plain([text.encode()]))
+    assert fast is None or fast == _outcome(lambda: _parse_lines(text, "t"))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@given(text=trace_texts())
+def test_fast_reader_never_disagrees_with_line_parser_in_small_pieces(chunk, text):
+    with mock.patch.object(traceio, "_READ_CHUNK", chunk):
+        fast = _outcome(lambda: _streamed(text.encode()))
     assert fast is None or fast == _outcome(lambda: _parse_lines(text, "t"))
 
 
